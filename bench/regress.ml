@@ -2,7 +2,8 @@
    with the same kernel as the perf experiment (Perf_common) and compare it
    against the committed baseline BENCH_perf.json with per-metric
    thresholds. Every run appends one JSONL line to a trajectory history, so
-   drift is visible over time, not just run-to-run.
+   drift is visible over time, not just run-to-run. The pass/fail
+   decision itself is the pure Gate.decide; this file measures and prints.
 
    Checks:
      - absolute: the predecoded path must not be slower than
@@ -27,7 +28,7 @@
    a fresh baseline instead of comparing (the gate's tests use it to
    compare same-budget measurements on the same machine). *)
 
-module Json = Eel_obs.Json
+module Gate = Eel_perfgate.Gate
 
 let fail_usage () =
   prerr_endline "usage: regress [--write-baseline FILE]";
@@ -37,68 +38,6 @@ let getenv_f name default =
   match Sys.getenv_opt name with
   | Some s -> ( match float_of_string_opt s with Some f -> f | None -> default)
   | None -> default
-
-(* --- baseline parsing ------------------------------------------------ *)
-
-type base_point = { bp_jobs : int; bp_speedup : float; bp_contended : bool }
-
-type baseline = {
-  b_cores : int;
-  b_speedup : float;
-  b_speedup_block : float option;
-      (** tier-2 vs predecode; None in pre-tier-2 baselines *)
-  b_mips_on : float;
-  b_points : base_point list;
-}
-
-let num ctx = function
-  | Some (Json.Num n) -> n
-  | _ -> failwith ("baseline: missing number " ^ ctx)
-
-let parse_baseline src =
-  match Json.parse src with
-  | Error m -> failwith ("baseline: not valid JSON: " ^ m)
-  | Ok root ->
-      let throughput =
-        match Json.member "throughput" root with
-        | Some t -> t
-        | None -> failwith "baseline: no throughput"
-      in
-      let on =
-        match Json.member "predecode_on" throughput with
-        | Some v -> v
-        | None -> failwith "baseline: no predecode_on"
-      in
-      let points =
-        match Json.member "scaling" root with
-        | Some sc -> (
-            match Json.member "points" sc with
-            | Some (Json.Arr ps) ->
-                List.map
-                  (fun p ->
-                    {
-                      bp_jobs = int_of_float (num "jobs" (Json.member "jobs" p));
-                      bp_speedup =
-                        num "speedup_vs_1" (Json.member "speedup_vs_1" p);
-                      bp_contended =
-                        (match Json.member "contended" p with
-                        | Some (Json.Bool b) -> b
-                        | _ -> false);
-                    })
-                  ps
-            | _ -> [])
-        | None -> []
-      in
-      {
-        b_cores = int_of_float (num "cores" (Json.member "cores" root));
-        b_speedup = num "speedup" (Json.member "speedup" throughput);
-        b_speedup_block =
-          (match Json.member "speedup_block" throughput with
-          | Some (Json.Num n) -> Some n
-          | _ -> None);
-        b_mips_on = num "mips" (Json.member "mips" on);
-        b_points = points;
-      }
 
 (* --- history --------------------------------------------------------- *)
 
@@ -171,7 +110,7 @@ let () =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> really_input_string ic (in_channel_length ic))
       in
-      parse_baseline src
+      Gate.parse_baseline src
     with
     | Sys_error m ->
         Printf.eprintf "regress: cannot read baseline %s: %s\n" baseline_path m;
@@ -181,84 +120,49 @@ let () =
         exit 2
   in
   let tol = getenv_f "EEL_REGRESS_TOL" 0.12 in
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "%-34s %s  %s\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := name :: !failures
-  in
   Printf.printf "perf-regress: baseline %s (cores %d), %s budget, tol %.0f%%\n"
-    baseline_path base.b_cores
+    baseline_path base.Gate.b_cores
     (if smoke then "smoke" else "full")
     (tol *. 100.);
   let th = Perf_common.measure_throughput ~smoke () in
-  let speedup = Perf_common.speedup th in
-  check "predecode not slower than decode" (speedup >= 1.0)
-    (Printf.sprintf "%.2fx" speedup);
-  check "throughput speedup vs baseline"
-    (speedup >= base.b_speedup *. (1.0 -. tol))
-    (Printf.sprintf "%.2fx vs %.2fx (floor %.2fx)" speedup base.b_speedup
-       (base.b_speedup *. (1.0 -. tol)));
-  let sp_block = Perf_common.speedup_block th in
-  check "tier-2 not slower than predecode" (sp_block >= 1.0)
-    (Printf.sprintf "%.2fx" sp_block);
-  (match base.b_speedup_block with
-  | None ->
-      Printf.printf "%-34s SKIP  baseline predates the block tier\n"
-        "tier-2 speedup vs baseline"
-  | Some b ->
-      check "tier-2 speedup vs baseline"
-        (sp_block >= b *. (1.0 -. tol))
-        (Printf.sprintf "%.2fx vs %.2fx (floor %.2fx)" sp_block b
-           (b *. (1.0 -. tol))));
-  let mips_on = Perf_common.mips th th.Perf_common.th_on in
-  if mips_on < base.b_mips_on *. 0.5 then
-    Printf.printf
-      "%-34s WARN  %.1f MIPS vs baseline %.1f (machine-dependent, not gated)\n"
-      "absolute MIPS" mips_on base.b_mips_on;
   (* scaling: only meaningful with real cores and an uncontended baseline *)
   let cores = Domain.recommended_domain_count () in
-  let skip_scaling =
-    Sys.getenv_opt "EEL_REGRESS_SCALING" = Some "skip"
-    || base.b_points = []
-    || cores <= 1
-    || base.b_cores <= 1
-    || List.exists (fun p -> p.bp_contended) base.b_points
+  let f_scaling =
+    match
+      Gate.scaling_skip
+        ~env_skip:(Sys.getenv_opt "EEL_REGRESS_SCALING" = Some "skip")
+        ~cores base
+    with
+    | Some why -> Either.Left why
+    | None ->
+        let jobs_list = Gate.scaling_jobs ~cores base in
+        let sc = Perf_common.measure_scaling ~smoke ~jobs_list () in
+        Either.Right
+          (List.map
+             (fun (j, t) -> (j, Perf_common.point_speedup sc t))
+             sc.Perf_common.sc_points)
   in
-  if skip_scaling then
-    Printf.printf
-      "%-34s SKIP  %s\n" "scaling speedup per domain count"
-      (if base.b_points = [] then "baseline has no sweep points"
-       else if cores <= 1 || base.b_cores <= 1 then
-         "1-core run: sweep measures GC-handshake contention, not scaling"
-       else if List.exists (fun p -> p.bp_contended) base.b_points then
-         "baseline sweep points tagged contended"
-       else "EEL_REGRESS_SCALING=skip")
-  else begin
-    let jobs_list =
-      List.filter_map
-        (fun p ->
-          if (not p.bp_contended) && p.bp_jobs <= cores then Some p.bp_jobs
-          else None)
-        base.b_points
-    in
-    let sc = Perf_common.measure_scaling ~smoke ~jobs_list () in
-    List.iter
-      (fun (j, t) ->
-        match List.find_opt (fun p -> p.bp_jobs = j) base.b_points with
-        | None -> ()
-        | Some p ->
-            let fresh = Perf_common.point_speedup sc t in
-            check
-              (Printf.sprintf "scaling speedup at %d domains" j)
-              (fresh >= p.bp_speedup *. 0.75)
-              (Printf.sprintf "%.2fx vs %.2fx" fresh p.bp_speedup))
-      sc.Perf_common.sc_points
-  end;
-  let pass = !failures = [] in
+  let checks =
+    Gate.decide ~tol base
+      {
+        Gate.f_speedup = Perf_common.speedup th;
+        f_speedup_block = Perf_common.speedup_block th;
+        f_mips_on = Perf_common.mips th th.Perf_common.th_on;
+        f_scaling;
+      }
+  in
+  List.iter
+    (fun c ->
+      Printf.printf "%-34s %s  %s\n" c.Gate.c_name
+        (Gate.status_name c.Gate.c_status)
+        c.Gate.c_detail)
+    checks;
+  let failures = Gate.failures checks in
+  let pass = failures = [] in
   append_history ~pass ~baseline:baseline_path th;
   if pass then print_endline "perf-regress: PASS"
   else begin
     Printf.printf "perf-regress: FAIL (%s)\n"
-      (String.concat ", " (List.rev !failures));
+      (String.concat ", " failures);
     exit 1
   end

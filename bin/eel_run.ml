@@ -120,6 +120,7 @@ let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
         Trace.with_span "emu.load" (fun () ->
             Emu.load ~predecode:(tier <> Tier2.Interp) exe)
       in
+      if metrics then Emu.publish_machine t;
       if tier = Tier2.Block then engine := Tier2.attach t;
       t.Emu.hook <- hook;
       t.Emu.profile <- profile;

@@ -39,6 +39,7 @@ let main path run_it no_fold trace_file metrics =
       Trace.with_span "emulate" (fun () -> Emu.run_exe ?profile prof.Qpt2.edited)
     in
     Option.iter Emu.publish_profile profile;
+    if metrics then Emu.publish_machine st;
     print_string res.Emu.out;
     Printf.printf "--- edge profile ---\n";
     List.iter

@@ -120,7 +120,8 @@ let execute ?(fuel = default_fuel) ?limit ?headroom ?(profile = false) ?filter
   in
   let predecode = tier <> Tier2.Interp in
   match
-    try Ok (Emu.load ?headroom ~predecode exe)
+    try
+      Ok (Trace.with_span "emu.load" (fun () -> Emu.load ?headroom ~predecode exe))
     with Emu.Fault m -> Error (Diag.Exe_error { what = "emulator load: " ^ m })
   with
   | Error e -> Error e

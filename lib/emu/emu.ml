@@ -404,15 +404,24 @@ type t = {
           declared side effects at record time (spill traffic below the
           stack pointer can only be recognized while [sp] is live). *)
   mutable profile : profile option;
-  mutable text_lo : int;
-  mutable text_hi : int;
-  code : Insn.t array;
-      (** predecoded text segment, indexed by [(pc - code_lo) / 4]; [[||]]
-          when predecoding is off (or the text geometry ruled it out).
-          Kept coherent with [mem] by {!store_mem}: any store landing in
-          the covered range re-decodes its word, so self-modifying code
-          behaves exactly as the decode-per-step path. *)
-  code_lo : int;  (** base address of [code]; meaningless when empty *)
+  segs : seg array;
+      (** the predecoded text, one segment per run of text sections (see
+          {!load}), sorted by address and disjoint; [[||]] when
+          predecoding is off or no section has clean geometry *)
+  text_lo : int;
+  text_hi : int;
+      (** the address hull of [segs] ([0, 0) when empty): a one-compare
+          pre-filter that keeps stores outside it off the segment search *)
+  mutable code : Insn.t array;
+      (** the {e current} segment's instructions, indexed by
+          [(pc - code_lo) / 4]: {!fetch_insn}'s hot path is one range
+          check against it, and a fetch outside it switches to the segment
+          holding the pc (or decodes per step in no segment). [[||]] when
+          [segs] is empty. Kept coherent with [mem] by {!store_mem}: any
+          store landing in a segment re-decodes its word, so
+          self-modifying code behaves exactly as the decode-per-step
+          path. *)
+  mutable code_lo : int;  (** base address of [code] *)
   mutable pokes : poke list;
       (** pending environment faults, sorted by [pk_at]; see {!set_pokes} *)
   mutable alt_run : (int -> unit) option;
@@ -426,7 +435,7 @@ type t = {
           {!Fault} / {!Out_of_fuel} exactly as the interpreter would. *)
   mutable on_invalidate : (int -> unit) option;
       (** notified with the word-aligned address every time a store or
-          poke lands in the predecoded text range ({!invalidate_code});
+          poke lands in a predecoded segment ({!invalidate_code});
           the tier-2 code cache drops compiled blocks covering it. *)
   mutable trap_handler : (t -> int -> bool) option;
       (** optional OS layer (lib/os): consulted before the builtin [ta n]
@@ -448,6 +457,10 @@ type t = {
     plan can never crash the machine. *)
 and poke = { pk_at : int; pk_addr : int; pk_value : int }
 
+(** A predecoded segment: [sg_code.(i)] decodes the word at
+    [sg_lo + 4 * i]. *)
+and seg = { sg_lo : int; sg_code : Insn.t array }
+
 (** Default extra space above the loaded image: heap + stack. *)
 let default_headroom = 8 * 1024 * 1024
 
@@ -458,12 +471,43 @@ let stack_size = 1024 * 1024
     into a multi-gigabyte allocation). *)
 let max_image_bytes = 1024 * 1024 * 1024
 
-(** Refuse to predecode text segments wider than this many words (16 MB of
-    text). Hostile SEF geometry — a tiny text section at a huge vaddr next
-    to one at a low vaddr — must not drive [Array.init] into a giant
-    allocation; past the cap the emulator silently falls back to
-    decode-per-step, which is always correct. *)
+(** Refuse to predecode more than this many words of text in all (16 MB).
+    Hostile SEF geometry — many huge text sections — must not drive
+    [Array.init] into a giant allocation; past the cap the emulator
+    silently falls back to decode-per-step, which is always correct. *)
 let max_predecode_words = 4 * 1024 * 1024
+
+(* The text address runs worth predecoding: sections with clean geometry
+   (a word-aligned base and at least one whole word), sorted, and merged
+   where they touch or overlap so that no word lies in two segments. The
+   address span {e between} sections is left out: an edited image keeps
+   its original text low and lays new code out megabytes above it. *)
+let text_runs exe =
+  Eel_sef.Sef.text_sections exe
+  |> List.filter_map (fun (s : Eel_sef.Sef.section) ->
+         if s.vaddr land 3 = 0 && s.size >= 4 then
+           Some (s.vaddr, s.vaddr + (s.size land lnot 3))
+         else None)
+  |> List.sort compare
+  |> List.fold_left
+       (fun acc (lo, hi) ->
+         match acc with
+         | (plo, phi) :: rest when lo <= phi -> (plo, max hi phi) :: rest
+         | _ -> (lo, hi) :: acc)
+       []
+  |> List.rev
+
+(* The segment holding [addr], as an index into [segs] from [i] on, or
+   -1. Top-level with explicit arguments so a search allocates no closure:
+   the decode-per-step path runs one per fetch. *)
+let rec seg_from segs addr i =
+  if i = Array.length segs then -1
+  else
+    let s = Array.unsafe_get segs i in
+    if addr >= s.sg_lo && (addr - s.sg_lo) asr 2 < Array.length s.sg_code then i
+    else seg_from segs addr (i + 1)
+
+let seg_index t addr = seg_from t.segs addr 0
 
 (** [load ?headroom ?predecode exe] builds a machine state with [exe]'s
     sections copied into a flat memory image, the stack pointer at the top
@@ -471,10 +515,11 @@ let max_predecode_words = 4 * 1024 * 1024
     cannot be built: sections with negative geometry, contents shorter than
     the declared size, or an address space larger than {!max_image_bytes}.
 
-    With [predecode] (the default) the text segment is decoded once into a
-    dense instruction array so {!step} never calls [Insn.decode] on the hot
-    path; [~predecode:false] keeps the decode-per-step behaviour (the
-    benchmark harness measures one against the other). *)
+    With [predecode] (the default) each text section is decoded once into
+    an instruction array (a {e segment}) so {!step} never calls
+    [Insn.decode] on the hot path; [~predecode:false] keeps the
+    decode-per-step behaviour (the benchmark harness measures one against
+    the other). *)
 let load ?(headroom = default_headroom) ?(predecode = true)
     (exe : Eel_sef.Sef.t) =
   let high = Eel_sef.Sef.high_addr exe in
@@ -495,28 +540,32 @@ let load ?(headroom = default_headroom) ?(predecode = true)
     exe.sections;
   let regs = Array.make Regs.num_regs 0 in
   regs.(Regs.sp) <- W.mask (size - 64) land lnot 7;
-  let text_lo, text_hi =
-    match Eel_sef.Sef.text_sections exe with
-    | [] -> (0, 0)
-    | ss ->
-        ( List.fold_left (fun a (s : Eel_sef.Sef.section) -> min a s.vaddr) max_int ss,
-          List.fold_left
-            (fun a (s : Eel_sef.Sef.section) -> max a (s.vaddr + s.size))
-            0 ss )
+  let runs = if predecode then text_runs exe else [] in
+  let segs =
+    if List.fold_left (fun n (lo, hi) -> n + ((hi - lo) / 4)) 0 runs
+       > max_predecode_words
+    then [||]
+    else
+      Array.of_list
+        (List.map
+           (fun (lo, hi) ->
+             {
+               sg_lo = lo;
+               sg_code =
+                 Array.init
+                   ((hi - lo) / 4)
+                   (fun i ->
+                     Insn.decode (Eel_util.Bytebuf.get32_be mem (lo + (i * 4))));
+             })
+           runs)
   in
-  let code =
-    (* predecode only clean geometry: word-aligned base, inside the image,
-       under the size cap; anything else falls back to decode-per-step *)
-    if
-      predecode && text_hi > text_lo
-      && text_lo land 3 = 0
-      && text_hi <= Bytes.length mem
-      && (text_hi - text_lo) / 4 <= max_predecode_words
-    then
-      Array.init
-        ((text_hi - text_lo) / 4)
-        (fun i -> Insn.decode (Eel_util.Bytebuf.get32_be mem (text_lo + (i * 4))))
-    else [||]
+  (* the hull's ends, and the segment to start in: the entry's (any
+     segment when the entry is in none) *)
+  let first, last, cur =
+    let none = { sg_lo = 0; sg_code = [||] } in
+    match Array.length segs with
+    | 0 -> (none, none, none)
+    | n -> (segs.(0), segs.(n - 1), segs.(max 0 (seg_from segs exe.entry 0)))
   in
   {
     mem;
@@ -533,15 +582,29 @@ let load ?(headroom = default_headroom) ?(predecode = true)
     obs = None;
     obs_filter = None;
     profile = None;
-    text_lo;
-    text_hi;
-    code;
-    code_lo = text_lo;
+    segs;
+    text_lo = first.sg_lo;
+    text_hi = last.sg_lo + (Array.length last.sg_code * 4);
+    code = cur.sg_code;
+    code_lo = cur.sg_lo;
     pokes = [];
     alt_run = None;
     on_invalidate = None;
     trap_handler = None;
   }
+
+(** Words predecoded by {!load}, summed over all segments (0 when
+    predecoding is off). *)
+let predecoded_words t =
+  Array.fold_left (fun n s -> n + Array.length s.sg_code) 0 t.segs
+
+(** [publish_machine t] surfaces the loaded machine's size in the
+    {!Eel_obs.Metrics} registry: [emu.predecode.words] ({!predecoded_words})
+    and [emu.mem.bytes] (the flat address space). *)
+let publish_machine t =
+  let g name v = Eel_obs.Metrics.set (Eel_obs.Metrics.gauge name) (float_of_int v) in
+  g "emu.predecode.words" (predecoded_words t);
+  g "emu.mem.bytes" (Bytes.length t.mem)
 
 (** [set_obs t log] installs (or, with [None], removes) the observable-event
     sink. With no sink installed the interpreter loop performs a single
@@ -599,14 +662,19 @@ let load_mem t addr width ~signed =
 
 (* [check_addr] enforces natural alignment, so no store crosses a 4-byte
    boundary: a store touches exactly the word containing [addr], and
-   re-decoding that one word keeps the predecoded array coherent. *)
+   re-decoding that one word keeps its segment coherent. A store outside
+   every segment (data, the gap between text sections) decodes nothing
+   and notifies no one. *)
 let invalidate_code t addr =
-  let idx = (addr - t.code_lo) asr 2 in
-  if idx >= 0 && idx < Array.length t.code then begin
-    let wa = t.code_lo + (idx lsl 2) in
-    t.code.(idx) <- Insn.decode (Eel_util.Bytebuf.get32_be t.mem wa);
-    match t.on_invalidate with None -> () | Some f -> f wa
-  end
+  if addr >= t.text_lo && addr < t.text_hi then
+    match seg_index t addr with
+    | -1 -> ()
+    | i -> (
+        let s = t.segs.(i) in
+        let idx = (addr - s.sg_lo) asr 2 in
+        let wa = s.sg_lo + (idx lsl 2) in
+        s.sg_code.(idx) <- Insn.decode (Eel_util.Bytebuf.get32_be t.mem wa);
+        match t.on_invalidate with None -> () | Some f -> f wa)
 
 let store_mem t addr width v =
   check_addr t addr width;
@@ -705,17 +773,28 @@ let set_trap_handler t h = t.trap_handler <- h
 
 (** {1 Execution} *)
 
+(* [fetch_insn]'s miss path: make the segment holding [pc] current, or
+   decode per step when no segment holds it (predecoding off, or a pc in
+   data or in the gap between text sections). *)
+let fetch_other t pc =
+  match seg_index t pc with
+  | -1 ->
+      if pc < 0 || pc + 4 > Bytes.length t.mem then fault "pc out of range 0x%x" pc;
+      Insn.decode (Eel_util.Bytebuf.get32_be t.mem pc)
+  | i ->
+      let s = t.segs.(i) in
+      t.code <- s.sg_code;
+      t.code_lo <- s.sg_lo;
+      Array.unsafe_get s.sg_code ((pc - s.sg_lo) asr 2)
+
 (* Fetch the instruction at [pc] (assumed word-aligned): a bounds-checked
-   array read off the predecoded text, falling back to decode-per-step for
-   addresses outside it (or when predecoding is off). The [unsafe_get] is
-   guarded by the [idx] range check on the line above. *)
+   array read off the current segment, which is where nearly every fetch
+   lands. The [unsafe_get]s are guarded by the range checks before them. *)
 let fetch_insn t pc =
+  let code = t.code in
   let idx = (pc - t.code_lo) asr 2 in
-  if idx >= 0 && idx < Array.length t.code then Array.unsafe_get t.code idx
-  else begin
-    if pc < 0 || pc + 4 > Bytes.length t.mem then fault "pc out of range 0x%x" pc;
-    Insn.decode (Eel_util.Bytebuf.get32_be t.mem pc)
-  end
+  if idx >= 0 && idx < Array.length code then Array.unsafe_get code idx
+  else fetch_other t pc
 
 (* Execute a fetched instruction at [pc] and advance pc/npc. *)
 let exec_insn t pc insn =

@@ -32,7 +32,7 @@
     - {b fuel} — a block is only entered when the remaining budget covers
       its worst-case length, so {!Emu.Out_of_fuel} always fires from the
       interpreter at the exact instruction, mid-block cutoffs included;
-    - {b self-modifying code} — a store into the predecoded text range
+    - {b self-modifying code} — a store into a predecoded text segment
       flows through {!Emu.invalidate_code} (keeping the tier-1 array
       coherent) and the {!Emu.t}'s [on_invalidate] hook kills every
       compiled block covering the word and unlinks it from its chain
@@ -91,7 +91,9 @@ type t = {
   t2_cover : (int, cblock list ref) Hashtbl.t;
       (** word address -> compiled blocks whose range covers it *)
   t2_code_lo : int;
-  t2_code_hi : int;  (** predecoded text range, hoisted from the machine *)
+  t2_code_hi : int;
+      (** hull of the predecoded segments, hoisted from the machine: a
+          compiled store inside it calls {!Emu.invalidate_code} *)
   mutable t2_next : int;
       (** successor pc resolved by a block terminator, read by a delay
           slot's OSR materializer (its npc is dynamic) *)
@@ -135,7 +137,7 @@ let body_ok = function
 
 (* A block terminator with everything the compiler needs precomputed.
    [T_cut pc] ends the block before an uncompilable instruction (trap,
-   invalid word, text-range end, length cap): the block falls back into
+   invalid word, segment end, length cap): the block falls back into
    the interpreter at [pc] with no control transfer of its own. *)
 type term =
   | T_cut of int
@@ -143,11 +145,15 @@ type term =
   | T_call of { target : int; bpc : int; delay : Insn.t }
   | T_jmpl of { rs1 : int; op2 : Insn.operand; rd : int; bpc : int; delay : Insn.t }
 
-(* Scan a straight-line block starting at [pc] (word-aligned, inside the
-   predecoded range). Returns the body instructions and the terminator,
-   or [None] when the very first instruction is uncompilable. *)
+(* Scan a straight-line block starting at [pc] (word-aligned) in the
+   predecoded segment holding it; a block never runs past its segment's
+   end. Returns the body instructions and the terminator, or [None] when
+   [pc] is in no segment or the very first instruction is uncompilable. *)
 let scan (m : Emu.t) pc =
-  let code = m.Emu.code and code_lo = m.Emu.code_lo in
+  let si = Emu.seg_index m pc in
+  if si < 0 then None
+  else
+  let { Emu.sg_lo = code_lo; sg_code = code } = m.Emu.segs.(si) in
   let len = Array.length code in
   let idx0 = (pc - code_lo) asr 2 in
   let body = ref [] in
@@ -931,8 +937,9 @@ let invalidate st wa =
 type res = R_run of cblock | R_cold | R_uncomp | R_skip
 
 (* A block entry is an arrival at a word-aligned, sequential-state pc
-   inside the predecoded range. Bumps the hotness counter; compiles at
-   the threshold. *)
+   inside a predecoded segment. Bumps the hotness counter; compiles at
+   the threshold. Only in-segment pcs ever enter [t2_entries], so the
+   segment search runs once per new pc, not on every arrival. *)
 let resolve st pc =
   let m = st.t2_emu in
   if pc land 3 <> 0 || m.Emu.npc <> pc + 4 || pc < st.t2_code_lo
@@ -951,6 +958,7 @@ let resolve st pc =
               Hashtbl.replace st.t2_entries pc Uncompilable;
               R_uncomp
         else R_cold
+    | None when Emu.seg_index m pc < 0 -> R_skip
     | None ->
         if st.t2_threshold <= 1 then
           match compile st pc with
@@ -1051,9 +1059,9 @@ let run st fuel =
     {!Emu.run} will dispatch whole-run execution to it whenever no
     per-instruction instrumentation is armed, and every text invalidation
     is forwarded to the code cache. Returns [None] when the machine has
-    no predecoded text (tier-2 rides on the predecode array). *)
+    no predecoded text (tier-2 rides on the predecoded segments). *)
 let attach ?(threshold = default_threshold) (m : Emu.t) =
-  if Array.length m.Emu.code = 0 then None
+  if Array.length m.Emu.segs = 0 then None
   else begin
     let st =
       {
@@ -1061,8 +1069,8 @@ let attach ?(threshold = default_threshold) (m : Emu.t) =
         t2_threshold = max 1 threshold;
         t2_entries = Hashtbl.create 256;
         t2_cover = Hashtbl.create 1024;
-        t2_code_lo = m.Emu.code_lo;
-        t2_code_hi = m.Emu.code_lo + (Array.length m.Emu.code lsl 2);
+        t2_code_lo = m.Emu.text_lo;
+        t2_code_hi = m.Emu.text_hi;
         t2_next = 0;
         t2_exit = 0;
         t2_cur_pc = -1;
@@ -1127,7 +1135,7 @@ let summary st =
 (* ------------------------------------------------------------------ *)
 
 (** The three execution tiers. [Interp] decodes every step, [Predecode]
-    dispatches the dense [Insn.t] array one instruction at a time,
+    dispatches each text section's [Insn.t] array one instruction at a time,
     [Block] adds this module's compiled blocks on top of predecode. *)
 type tier = Interp | Predecode | Block
 

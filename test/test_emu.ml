@@ -678,8 +678,8 @@ let test_poke_invalid_dropped () =
    every boundary of a chained block pair and under stores into compiled
    text. *)
 
-let run_tier ~tier src =
-  let t, eng = load_tier ~tier (assemble_exe src) in
+let run_tier ~tier exe =
+  let t, eng = load_tier ~tier exe in
   let log = Emu.obs_log () in
   Emu.set_obs t (Some log);
   let stop =
@@ -695,15 +695,16 @@ let run_tier ~tier src =
     Emu.output t,
     eng )
 
-(* Run [src] under all three tiers, demand an identical observable run,
-   and return the tier-2 engine's stats for structural assertions. *)
-let check_tiers_agree name src =
-  let sb, eb, ib, rb, ob, _ = run_tier ~tier:Tier2.Interp src in
+(* Run [exe] under all three tiers, demand an identical observable run,
+   and return the tier-2 engine's stats and the common output for
+   structural assertions. *)
+let check_image_tiers_agree name exe =
+  let sb, eb, ib, rb, ob, _ = run_tier ~tier:Tier2.Interp exe in
   let check tr =
     let chk what =
       Printf.sprintf "%s [%s] %s" name (Tier2.tier_name tr) what
     in
-    let sa, ea, ia, ra, oa, eng = run_tier ~tier:tr src in
+    let sa, ea, ia, ra, oa, eng = run_tier ~tier:tr exe in
     Alcotest.(check string) (chk "stop") sb sa;
     Alcotest.(check (list string)) (chk "events") eb ea;
     Alcotest.(check int) (chk "insns") ib ia;
@@ -713,8 +714,11 @@ let check_tiers_agree name src =
   in
   ignore (check Tier2.Predecode);
   match check Tier2.Block with
-  | Some st -> Tier2.stats st
+  | Some st -> (Tier2.stats st, ob)
   | None -> Alcotest.failf "%s: tier-2 engine failed to attach" name
+
+let check_tiers_agree name src =
+  fst (check_image_tiers_agree name (assemble_exe src))
 
 let test_tier_parity () =
   (* a spread of control shapes; each must actually run compiled code *)
@@ -877,6 +881,121 @@ Lself:  add %l4, 1, %l4
     "invalidated itself" true
     (st.Tier2.st_invalidated >= 1)
 
+(* ---- per-section predecode geometry ----
+
+   An edited image keeps its original text low and lays new code out
+   megabytes above it; [Emu.load] predecodes each text section, not the
+   address span between them. These tests use a two-section image whose
+   second text section sits ~6 MB above the first: the gap between them
+   is plain memory, executed (if ever) by decode-per-step and invisible
+   to the code-coherence machinery. *)
+
+let far_base = 0x610000
+
+let gap_addr = 0x300000
+
+(* [near] assembled at the usual text base, plus [far]'s text section
+   (assembled at [far_base]) appended as a second text section. *)
+let two_section_image ~near ~far =
+  let a = assemble_exe near in
+  let b =
+    match Asm.assemble ~text_base:far_base far with
+    | Ok e -> e
+    | Error m -> Alcotest.failf "asm (far): %s" m
+  in
+  let text (e : Sef.t) =
+    List.find (fun (s : Sef.section) -> s.Sef.sec_kind = Sef.Text) e.Sef.sections
+  in
+  let far_text = { (text b) with Sef.sec_name = ".far" } in
+  ( { a with Sef.sections = a.Sef.sections @ [ far_text ] },
+    (text a).Sef.size + far_text.Sef.size,
+    b )
+
+let jump_to addr =
+  Printf.sprintf "main:   set 0x%x, %%l0\n        jmp %%l0\n        nop\n" addr
+
+let jump_far = jump_to far_base
+
+(* The far section's loop prints %o0 from [patch], stores a word into
+   the gap, then patches [patch] to [mov 42, %o0]: the first iteration
+   prints 1, later ones 42 — but only if the store into the second
+   section re-decoded the word. *)
+let far_patch_src =
+  Printf.sprintf
+    {|
+far:    mov 3, %%l0
+        set patch, %%l2
+        set 0x%x, %%l3
+        set 0x%x, %%l4
+patch:  mov 1, %%o0
+        ta 2
+        st %%l3, [%%l4]
+        subcc %%l0, 1, %%l0
+        st %%l3, [%%l2]
+        bne patch
+        nop
+|}
+    (mov_imm_o0 42) gap_addr
+  ^ exit0
+
+let test_geometry_words () =
+  let exe, section_bytes, _ = two_section_image ~near:jump_far ~far:far_patch_src in
+  let t = Emu.load exe in
+  Alcotest.(check int) "predecoded words = section words" (section_bytes / 4)
+    (Emu.predecoded_words t);
+  Alcotest.(check int) "no predecode when off" 0
+    (Emu.predecoded_words (Emu.load ~predecode:false exe))
+
+let test_geometry_gap_jump () =
+  (* a jump into the zero-filled gap: the same illegal-instruction fault,
+     at the same pc, with the same events and registers, in every tier *)
+  let exe, _, _ = two_section_image ~near:(jump_to gap_addr) ~far:exit0 in
+  ignore (check_image_tiers_agree "jump into gap" exe);
+  (let stop, _, _, _, _, _ = run_tier ~tier:Tier2.Block exe in
+   Alcotest.(check string) "faults in the gap"
+     (Printf.sprintf "fault: unimp 0x0 executed at pc=0x%x" gap_addr)
+     stop);
+  (* code the program writes into the gap at run time, then runs *)
+  let ta n = Insn.Ticc { cond = Insn.CA; rs1 = 0; op2 = Insn.O_imm n } in
+  let words = [ mov_imm_o0 42; Insn.encode (ta 2); mov_imm_o0 0; Insn.encode (ta 1) ] in
+  let stores =
+    String.concat ""
+      (List.mapi
+         (fun i w ->
+           Printf.sprintf "        set 0x%x, %%l1\n        st %%l1, [%%l0 + %d]\n" w
+             (4 * i))
+         words)
+  in
+  let gap_code =
+    Printf.sprintf "main:   set 0x%x, %%l0\n%s        jmp %%l0\n        nop\n" gap_addr
+      stores
+  in
+  let exe, _, _ = two_section_image ~near:gap_code ~far:exit0 in
+  let _, out = check_image_tiers_agree "code written into gap" exe in
+  Alcotest.(check string) "gap code ran" "42\n" out
+
+let test_geometry_far_store () =
+  let exe, _, _ = two_section_image ~near:jump_far ~far:far_patch_src in
+  let st, out = check_image_tiers_agree "store into far section" exe in
+  Alcotest.(check string) "far word re-decoded" "1\n42\n42\n" out;
+  Alcotest.(check bool) "covering block killed" true
+    (st.Tier2.st_invalidated >= 1)
+
+let test_geometry_gap_store () =
+  (* the far loop stores into the gap and into its own text three times
+     each: only the text stores may reach [on_invalidate] *)
+  let exe, _, far = two_section_image ~near:jump_far ~far:far_patch_src in
+  let patch =
+    (List.find (fun (s : Sef.symbol) -> s.Sef.sym_name = "patch") far.Sef.symbols)
+      .Sef.value
+  in
+  let t = Emu.load exe in
+  let seen = ref [] in
+  t.Emu.on_invalidate <- Some (fun wa -> seen := wa :: !seen);
+  ignore (Emu.run t);
+  Alcotest.(check (list int)) "only the far-section word invalidated"
+    [ patch; patch; patch ] !seen
+
 let () =
   Alcotest.run "emu"
     [
@@ -948,5 +1067,16 @@ let () =
             test_tier_invalidate_chained;
           Alcotest.test_case "self-store deopts" `Quick
             test_tier_selfstore_deopt;
+        ] );
+      ( "geometry",
+        [
+          Alcotest.test_case "predecoded words = section words" `Quick
+            test_geometry_words;
+          Alcotest.test_case "jump into the gap (three tiers)" `Quick
+            test_geometry_gap_jump;
+          Alcotest.test_case "store into the second section" `Quick
+            test_geometry_far_store;
+          Alcotest.test_case "store into the gap fires no invalidation" `Quick
+            test_geometry_gap_store;
         ] );
     ]

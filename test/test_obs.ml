@@ -104,7 +104,44 @@ let test_ambient () =
   Alcotest.(check int) "ambient result" 3 v;
   Alcotest.(check int) "ambient recorded" 1 (Trace.num_spans tr);
   (* with_current restored the previous (absent) tracer *)
-  Alcotest.(check bool) "restored" true (Trace.get_current () = None)
+  Alcotest.(check bool) "restored" true (Trace.get_current () = None);
+  (* a verify job under the ambient tracer: each side's run span has the
+     emulator load as a child, so the load layer has a span of its own *)
+  let tr = Trace.create () in
+  let exe =
+    match Eel_sparc.Asm.assemble (List.assoc "fib" Eel_diffexec.Corpus.sources) with
+    | Ok e -> e
+    | Error m -> Alcotest.failf "asm: %s" m
+  in
+  (match
+     Trace.with_current tr (fun () ->
+         Toolbox.measure ~prog:"fib" "qpt2" Eel_sparc.Mach.mach exe)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "measure failed: %s" (Diag.error_message e));
+  let rec spans_named name = function
+    | Trace.N_instant _ -> []
+    | Trace.N_span sp ->
+        (if sp.Trace.sp_name = name then [ sp ] else [])
+        @ List.concat_map (spans_named name) sp.Trace.sp_children
+  in
+  List.iter
+    (fun side ->
+      match spans_named side (Trace.N_span tr.Trace.root) with
+      | [] -> Alcotest.failf "no %s span" side
+      | sps ->
+          List.iter
+            (fun sp ->
+              Alcotest.(check bool)
+                (side ^ " has an emu.load child")
+                true
+                (List.exists
+                   (function
+                     | Trace.N_span c -> c.Trace.sp_name = "emu.load"
+                     | Trace.N_instant _ -> false)
+                   sp.Trace.sp_children))
+            sps)
+    [ "equiv.run.original"; "equiv.run.edited" ]
 
 (* ------------------------------------------------------------------ *)
 (* Chrome JSON                                                         *)
@@ -532,6 +569,90 @@ let test_perf_gate () =
   Sys.remove base;
   Sys.remove hist
 
+(* The gate's decision on synthetic measurement records: no timing, so
+   these hold on any machine under any load. *)
+module Gate = Eel_perfgate.Gate
+
+let gate_base ?(block = Some 4.0) ?(points = []) () =
+  {
+    Gate.b_cores = 2;
+    b_speedup = 2.5;
+    b_speedup_block = block;
+    b_mips_on = 40.0;
+    b_points = points;
+  }
+
+let gate_fresh ?(speedup = 2.5) ?(block = 4.0) ?(mips = 40.0)
+    ?(scaling = Either.Left "baseline has no sweep points") () =
+  {
+    Gate.f_speedup = speedup;
+    f_speedup_block = block;
+    f_mips_on = mips;
+    f_scaling = scaling;
+  }
+
+let gate_status checks name =
+  match List.find_opt (fun c -> c.Gate.c_name = name) checks with
+  | Some c -> Gate.status_name c.Gate.c_status
+  | None -> Alcotest.failf "no check %S" name
+
+let test_gate_decision () =
+  let tol = 0.12 in
+  let decide base fresh = Gate.decide ~tol base fresh in
+  (* pass: the fresh point matches the baseline, or trails it inside the
+     tolerance *)
+  Alcotest.(check (list string)) "unchanged passes" []
+    (Gate.failures (decide (gate_base ()) (gate_fresh ())));
+  Alcotest.(check (list string)) "10% drop passes" []
+    (Gate.failures
+       (decide (gate_base ()) (gate_fresh ~speedup:2.25 ~block:3.6 ())));
+  (* the seeded regression: EEL_PERF_HANDICAP=1.35 stretches predecode
+     time, a 26% drop in its speedup, which the 12% gate must catch *)
+  Alcotest.(check (list string)) "seeded 26% regression fails"
+    [ "throughput speedup vs baseline" ]
+    (Gate.failures (decide (gate_base ()) (gate_fresh ~speedup:(2.5 /. 1.35) ())));
+  Alcotest.(check (list string)) "floors are absolute"
+    [ "predecode not slower than decode"; "throughput speedup vs baseline";
+      "tier-2 not slower than predecode"; "tier-2 speedup vs baseline" ]
+    (Gate.failures (decide (gate_base ()) (gate_fresh ~speedup:0.9 ~block:0.9 ())));
+  (* halved MIPS only warns: absolute throughput is machine-dependent *)
+  let slow = decide (gate_base ()) (gate_fresh ~mips:10.0 ()) in
+  Alcotest.(check string) "MIPS warns" "WARN" (gate_status slow "absolute MIPS");
+  Alcotest.(check (list string)) "MIPS never fails" [] (Gate.failures slow);
+  (* a pre-tier-2 baseline, as parsed from the file: the block check is
+     skipped, never failed *)
+  let pre =
+    Gate.parse_baseline
+      {|{"cores": 1, "throughput": {"speedup": 2.0, "predecode_on": {"mips": 30.0}}}|}
+  in
+  Alcotest.(check bool) "no block speedup" true (pre.Gate.b_speedup_block = None);
+  let d = decide pre (gate_fresh ~speedup:2.0 ~block:0.5 ()) in
+  Alcotest.(check string) "block vs baseline skipped" "SKIP"
+    (gate_status d "tier-2 speedup vs baseline");
+  Alcotest.(check (list string)) "only the 1.0 floor applies"
+    [ "tier-2 not slower than predecode" ] (Gate.failures d);
+  (* contended sweep points: measured with more domains than cores, so
+     scaling is skipped, and such points are never re-measured *)
+  let pt jobs speedup contended =
+    { Gate.bp_jobs = jobs; bp_speedup = speedup; bp_contended = contended }
+  in
+  let contended = gate_base ~points:[ pt 1 1.0 false; pt 4 0.6 true ] () in
+  Alcotest.(check (option string)) "contended baseline skips scaling"
+    (Some "baseline sweep points tagged contended")
+    (Gate.scaling_skip ~env_skip:false ~cores:2 contended);
+  Alcotest.(check (list int)) "contended point not re-measured" [ 1 ]
+    (Gate.scaling_jobs ~cores:8 contended);
+  let clean = gate_base ~points:[ pt 1 1.0 false; pt 2 1.8 false ] () in
+  Alcotest.(check (option string)) "1-core run skips scaling"
+    (Some "1-core run: sweep measures GC-handshake contention, not scaling")
+    (Gate.scaling_skip ~env_skip:false ~cores:1 clean);
+  Alcotest.(check (option string)) "uncontended baseline scales" None
+    (Gate.scaling_skip ~env_skip:false ~cores:2 clean);
+  Alcotest.(check (list string)) "scaling 25% under the baseline fails"
+    [ "scaling speedup at 2 domains" ]
+    (Gate.failures
+       (decide clean (gate_fresh ~scaling:(Either.Right [ (1, 1.0); (2, 1.3) ]) ())))
+
 (* ------------------------------------------------------------------ *)
 (* eel_objdump --trace, end to end                                     *)
 (* ------------------------------------------------------------------ *)
@@ -624,6 +745,8 @@ let () =
         [
           Alcotest.test_case "pass, seeded regression, history" `Quick
             test_perf_gate;
+          Alcotest.test_case "decision on synthetic records" `Quick
+            test_gate_decision;
         ] );
       ( "tools",
         [
