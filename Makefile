@@ -2,7 +2,7 @@
 # build everything, run the test suites, the never-crash fuzz corpus, and
 # the observability trace smoke test.
 
-.PHONY: all build test fuzz diff-smoke equiv-smoke trace-smoke inject-smoke report-smoke os-smoke perf perf-smoke perf-regress serve-bench serve-smoke check clean
+.PHONY: all build test fuzz diff-smoke equiv-smoke trace-smoke inject-smoke report-smoke os-smoke perf perf-smoke perf-regress serve-bench serve-smoke check loc clean
 
 all: build
 
@@ -117,6 +117,16 @@ serve-smoke:
 
 check:
 	dune build && dune runtest && dune build @fuzz && dune build @diff && dune build @equiv && $(MAKE) trace-smoke && $(MAKE) inject-smoke && $(MAKE) report-smoke && $(MAKE) os-smoke && $(MAKE) serve-smoke
+
+# Lines of code per library, implementations (.ml) and interfaces (.mli)
+# counted separately, so every change can report LoC the same way.
+loc:
+	@printf '%-10s %7s %7s\n' library ml mli
+	@for d in lib/*/; do \
+	  printf '%-10s %7d %7d\n' $$(basename $$d) \
+	    $$(cat $$d*.ml /dev/null | wc -l) $$(cat $$d*.mli /dev/null 2>/dev/null | wc -l); \
+	done
+	@printf '%-10s %7d %7d\n' total $$(cat lib/*/*.ml | wc -l) $$(cat lib/*/*.mli /dev/null 2>/dev/null | wc -l)
 
 clean:
 	dune clean

@@ -43,17 +43,16 @@ let parse_os_file spec =
       close_in ic;
       (name, data)
 
-(* Resolve the execution tier. An explicit [--tier] combined with a flag
-   that forces per-instruction interpretation is a contradiction and is
-   rejected ([Diag] error); the default tier silently degrades — with a
+(* Resolve the execution tier. An explicit [--tier block] combined with a
+   flag that forces per-instruction interpretation is a contradiction and
+   is rejected ([Diag] error); the default tier silently degrades — with a
    one-line stderr notice, mirroring the EEL_JOBS=1 notices — because the
    engine itself refuses to run while a hook or profile is armed. *)
-let resolve_tier ~tier ~rtl ~itrace ~metrics ~no_predecode =
+let resolve_tier ~tier ~rtl ~itrace ~metrics =
   let forcer =
     if rtl then Some "--rtl"
     else if itrace then Some "--itrace"
     else if metrics then Some "--metrics"
-    else if no_predecode then Some "--no-predecode"
     else None
   in
   match (tier, forcer) with
@@ -62,12 +61,7 @@ let resolve_tier ~tier ~rtl ~itrace ~metrics ~no_predecode =
         "--tier block is incompatible with %s, which forces per-instruction \
          interpretation; drop one of the two"
         flag
-  | Some Tier2.Predecode, Some "--no-predecode" ->
-      Eel_robust.Diag.exe_error
-        "--tier predecode is incompatible with --no-predecode; drop one of \
-         the two"
   | Some tr, _ -> tr
-  | None, Some "--no-predecode" -> Tier2.Interp
   | None, Some flag ->
       if flag <> "--rtl" then
         Printf.eprintf
@@ -77,13 +71,13 @@ let resolve_tier ~tier ~rtl ~itrace ~metrics ~no_predecode =
       Tier2.Predecode
   | None, None -> Tier2.Block
 
-let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
+let run path rtl itrace trace_file metrics fuel os os_stdin
     os_files exit_status tier =
   if rtl && os then begin
     Printf.eprintf "eel_run: --os is not supported under --rtl\n";
     exit 2
   end;
-  let tier = resolve_tier ~tier ~rtl ~itrace ~metrics ~no_predecode in
+  let tier = resolve_tier ~tier ~rtl ~itrace ~metrics in
   let observing = trace_file <> None || metrics in
   let tracer = if observing then Some (Trace.create ()) else None in
   Trace.set_current tracer;
@@ -152,10 +146,10 @@ let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
   if metrics then Format.eprintf "%a%!" Metrics.pp ();
   exit (if exit_status then result.Emu.exit_code else 0)
 
-let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
+let run path rtl itrace trace_file metrics fuel os os_stdin
     os_files exit_status tier =
   try
-    run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
+    run path rtl itrace trace_file metrics fuel os os_stdin
       os_files exit_status tier
   with
   | Eel_robust.Diag.Error e ->
@@ -187,12 +181,6 @@ let cmd =
   in
   let fuel =
     Arg.(value & opt int 200_000_000 & info [ "fuel" ] ~doc:"instruction budget")
-  in
-  let no_predecode =
-    Arg.(
-      value & flag
-      & info [ "no-predecode" ]
-          ~doc:"decode every dynamic instruction instead of predecoding the text segment at load")
   in
   let os =
     Arg.(
@@ -237,6 +225,6 @@ let cmd =
     (Cmd.info "eel_run" ~doc:"run a SEF executable")
     Term.(
       const run $ path $ rtl $ itrace $ trace_file $ metrics $ fuel
-      $ no_predecode $ os $ os_stdin $ os_files $ want_exit_status $ tier)
+      $ os $ os_stdin $ os_files $ want_exit_status $ tier)
 
 let () = exit (Cmd.eval cmd)

@@ -6,7 +6,6 @@
    phase timeline and the metrics registry (ISSUE 2). *)
 
 open Cmdliner
-module E = Eel.Executable
 module Emu = Eel_emu.Emu
 module Qpt2 = Eel_tools.Qpt2
 module Trace = Eel_obs.Trace

@@ -8,7 +8,6 @@
 
    Run with:  dune exec examples/quickstart.exe *)
 
-module Sef = Eel_sef.Sef
 module E = Eel.Executable
 module C = Eel.Cfg
 module Emu = Eel_emu.Emu

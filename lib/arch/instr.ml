@@ -82,7 +82,6 @@ type t = {
 let reads t = t.reads
 let writes t = t.writes
 let category t = t.cat
-let is_delayed t = t.delayed
 
 let is_annulled t =
   match t.ctl with C_branch b -> b.annul | _ -> false

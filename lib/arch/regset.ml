@@ -15,16 +15,11 @@ let add r s = s lor (1 lsl r)
 let remove r s = s land lnot (1 lsl r)
 let mem r s = s land (1 lsl r) <> 0
 let union a b = a lor b
-let inter a b = a land b
 let diff a b = a land lnot b
 let equal (a : t) b = a = b
 let subset a b = a land lnot b = 0
 
 let of_list rs = List.fold_left (fun s r -> add r s) empty rs
-
-let cardinal s =
-  let rec go s acc = if s = 0 then acc else go (s land (s - 1)) (acc + 1) in
-  go s 0
 
 (** [iter f s] applies [f] to each member in increasing register order. *)
 let iter f s =

@@ -1,22 +1,3 @@
-(** Interprocedural call graphs.
-
-    Paper footnote 1: "EEL also supports interprocedural analysis and call
-    graphs". The graph's nodes are the refined routine set (including
-    hidden routines); edges come from three sources:
-
-    - direct calls ([T_call] terminators),
-    - interprocedural direct transfers (tail calls and multi-entry jumps:
-      [Ek_xfer] edges whose destination falls in another routine),
-    - indirect call {e sites} ([T_icall]), whose callee set is resolved
-      through slicing when the function-pointer load folds to a constant
-      (the same machinery as dispatch tables), and recorded as unresolved
-      sites otherwise.
-
-    "Unlike most compilers, which operate on a single file, editing can
-    manipulate an entire program, which permits it to perform
-    interprocedural analysis rather than stopping at procedure
-    boundaries" (§1). *)
-
 module C = Cfg
 module E = Executable
 
@@ -26,13 +7,13 @@ type cedge = {
   caller : string;
   callee : string;
   kind : edge_kind;
-  site : int;  (** address of the transfer instruction *)
+  site : int;
 }
 
 type t = {
-  nodes : string list;  (** routine names *)
+  nodes : string list;
   cedges : cedge list;
-  unresolved : (string * int) list;  (** indirect sites slicing couldn't bind *)
+  unresolved : (string * int) list;
 }
 
 let build (exec : E.t) =
@@ -132,7 +113,6 @@ let build (exec : E.t) =
     unresolved = List.rev !unresolved;
   }
 
-(** Direct+resolved callees of a routine. *)
 let callees cg name =
   List.filter_map
     (fun e -> if e.caller = name then Some e.callee else None)
@@ -145,9 +125,6 @@ let callers cg name =
     cg.cedges
   |> List.sort_uniq compare
 
-(** Reverse-topological order over the acyclic part (recursive SCCs are
-    emitted in discovery order) — the order interprocedural analyses
-    process routines. *)
 let bottom_up cg =
   let visited = Hashtbl.create 32 in
   let order = ref [] in

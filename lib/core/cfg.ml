@@ -1,38 +1,6 @@
-(** Control-flow graphs of routines (paper §3.3).
-
-    The CFG is EEL's primary program representation. Its defining feature is
-    that {e instructions' internal control flow is made explicit}: delayed
-    branches, annulled branches and calls are normalized so that every
-    instruction in the graph appears to be a simple, non-delayed instruction
-    (paper Fig. 3). Concretely:
-
-    - the delay-slot instruction of a {e non-annulled conditional branch} is
-      duplicated into two single-instruction [Delay] blocks, one on the taken
-      edge and one on the fall-through edge;
-    - for an {e annulled} conditional branch the delay instruction appears
-      only on the taken edge;
-    - for [ba,a] (and [bn,a]) the delay instruction appears on no edge;
-    - a {e call}'s delay block is followed by a distinguished zero-length
-      [Call_surrogate] block standing for the callee's execution;
-    - synthetic [Entry] and [Exit] blocks bracket the routine.
-
-    Some blocks and edges are {e uneditable} (paper: "most uneditable blocks
-    and edges transfer control out of the current routine, e.g. the delay
-    slot after a call"); experiment E3 measures their fraction.
-
-    Construction is conservative in the presence of data: invalid words form
-    [is_data] blocks, and unreachable valid code at the end of the region is
-    reported as a {e hidden routine} candidate for the executable-level
-    analysis (paper §3.1 stage 4). *)
-
 open Eel_arch
 module I = Instr
 module Diag = Eel_robust.Diag
-
-(** Historical alias: CFG-construction failures are now {!Diag.Error}
-    values carrying {!Diag.Exe_error}/{!Diag.Decode_error}; this exception
-    is kept only so old match arms keep compiling. *)
-exception Eel_error of string
 
 let err fmt =
   Printf.ksprintf (fun s -> raise (Diag.Error (Diag.Exe_error { what = s }))) fmt
@@ -40,48 +8,40 @@ let err fmt =
 type block_kind = Normal | Delay | Call_surrogate | Entry | Exit
 
 type edge_kind =
-  | Ek_fall  (** sequential flow *)
-  | Ek_taken  (** branch taken *)
-  | Ek_call  (** delay block to call surrogate *)
-  | Ek_cont  (** call surrogate to the return continuation *)
+  | Ek_fall
+  | Ek_taken
+  | Ek_call
+  | Ek_cont
   | Ek_computed of int option
-      (** indirect jump; [Some a] = resolved original target, [None] =
-          unanalyzable *)
-  | Ek_exit  (** to the synthetic exit block (returns) *)
+  | Ek_exit
   | Ek_xfer of int
-      (** direct transfer that leaves the routine (interprocedural branch or
-          fall-through off the end); payload = original destination *)
 
-(** A jump's dispatch table, discovered by backward slicing (§3.3). *)
 type table = {
-  t_addr : int;  (** address of the first table entry *)
-  t_targets : int array;  (** original code addresses stored in the table *)
+  t_addr : int;
+  t_targets : int array;
 }
 
 type term =
-  | T_none  (** block falls through *)
+  | T_none
   | T_branch of { i : I.t; addr : int }
-      (** conditional (or never-taken) pc-relative branch *)
-  | T_goto of { i : I.t; addr : int }  (** unconditional branch (ba) *)
+  | T_goto of { i : I.t; addr : int }
   | T_call of { i : I.t; addr : int; target : int }
-  | T_icall of { i : I.t; addr : int }  (** indirect call through a register *)
+  | T_icall of { i : I.t; addr : int }
   | T_jump of { i : I.t; addr : int; mutable table : table option }
   | T_return of { i : I.t; addr : int }
 
 type block = {
   bid : int;
   kind : block_kind;
-  baddr : int option;  (** original address of the first instruction *)
+  baddr : int option;
   mutable instrs : (int * I.t) array;
-      (** (original address, instruction); duplicated delay-slot copies
-          share their original address *)
   mutable term : term;
   mutable succs : edge list;
   mutable preds : edge list;
   mutable editable : bool;
   mutable reachable : bool;
   mutable is_data : bool;
-  mutable edited : bool;  (** set once any edit touches this block *)
+  mutable edited : bool;
 }
 
 and edge = {
@@ -97,18 +57,13 @@ type t = {
   mach : Machine.t;
   lo : int;
   hi : int;
-  blocks : block Eel_util.Dyn.t;  (** all blocks, entry/exit included *)
-  entries : (int * block) list;  (** entry address -> Entry block *)
+  blocks : block Eel_util.Dyn.t;
+  entries : (int * block) list;
   exit_block : block;
   mutable complete : bool;
-      (** false when an indirect jump could not be analyzed; the editor then
-          falls back on run-time address translation (§3.3) *)
   mutable hidden_candidate : int option;
-      (** start of unreachable trailing code: a hidden routine (§3.1) *)
-  block_at : (int, block) Hashtbl.t;  (** original address -> Normal block *)
+  block_at : (int, block) Hashtbl.t;
 }
-
-(** {1 Inquiries} *)
 
 let blocks g = Eel_util.Dyn.to_list g.blocks
 
@@ -121,7 +76,6 @@ let entry_blocks g = List.map snd g.entries
 
 let block_at g addr = Hashtbl.find_opt g.block_at addr
 
-(** Terminator instruction and its address, if any. *)
 let term_instr b =
   match b.term with
   | T_none -> None
@@ -129,15 +83,11 @@ let term_instr b =
   | T_icall { i; addr } | T_jump { i; addr; _ } | T_return { i; addr } ->
       Some (addr, i)
 
-(** All instructions of a block including the terminator (for analyses). *)
 let all_instrs b =
   match term_instr b with
   | None -> Array.to_list b.instrs
   | Some ai -> Array.to_list b.instrs @ [ ai ]
 
-(** Array form of {!all_instrs} — the hot path for slicing and liveness.
-    Blocks without a terminator share their body array (tools never mutate
-    block bodies: edits accumulate outside the CFG, §3.3.1). *)
 let all_instrs_array b =
   match term_instr b with
   | None -> b.instrs
@@ -148,8 +98,6 @@ let indirect_jumps g =
     (fun b -> match b.term with T_jump j -> Some (b, j.addr) | _ -> None)
     (blocks g)
 
-(** Number of original instruction words covered by a block (delay copies
-    count once at their original address — used for statistics only). *)
 let pp_block fmt b =
   let kind =
     match b.kind with
@@ -222,16 +170,6 @@ let unmapped_instr =
     mnem = "<unmapped>";
   }
 
-(** [build ~mach ~cache ~fetch ~lo ~hi ~entries ~tables ()] constructs the
-    normalized CFG of the routine occupying [lo, hi) with the given entry
-    addresses. [fetch a] returns the machine word at [a]. [tables] maps
-    indirect-jump addresses to previously-discovered dispatch tables (the
-    slicing fixpoint: {!Routine} re-builds after {!Slice} finds tables).
-
-    [diag] collects degradation diagnostics: reachable-but-undecodable
-    regions, malformed delay slots and DCTI couples are downgraded to
-    data-marked blocks with a warning instead of aborting construction.
-    [budget] bounds the decode work (anti-non-termination guard). *)
 let build ?diag ?budget ~mach ~cache ~fetch ~lo ~hi ~entries ~tables () =
   Eel_obs.Trace.with_span "cfg.build"
     ~args:[ ("lo", Printf.sprintf "0x%x" lo); ("hi", Printf.sprintf "0x%x" hi) ]
@@ -363,7 +301,7 @@ let build ?diag ?budget ~mach ~cache ~fetch ~lo ~hi ~entries ~tables () =
       Hashtbl.replace block_start start b)
     raw;
   (* ---- edges with delay-slot normalization ---- *)
-  let target_block a kind =
+  let target_block a =
     (* edge destination for a direct transfer to original address [a] *)
     if in_range a then
       match Hashtbl.find_opt block_start a with
@@ -413,12 +351,12 @@ let build ?diag ?budget ~mach ~cache ~fetch ~lo ~hi ~entries ~tables () =
     new_block bld ~editable ~addr:(addr + 4) Delay [| (addr + 4, d) |]
   in
   let goto_dst bld src a ~ekind_local ~editable =
-    match target_block a ekind_local with
+    match target_block a with
     | `Local b -> ignore (connect bld ~editable src b ekind_local)
     | `Extern a -> ignore (connect bld ~editable:false src exit_block (Ek_xfer a))
   in
   List.iter
-    (fun (start, bend, term_at, _is_data, noret) ->
+    (fun (start, bend, _term_at, _is_data, noret) ->
       let b = Hashtbl.find block_start start in
       if b.is_data then () (* data blocks have no successors *)
       else
@@ -485,7 +423,7 @@ let build ?diag ?budget ~mach ~cache ~fetch ~lo ~hi ~entries ~tables () =
             | Some tbl ->
                 Array.iter
                   (fun tgt ->
-                    match target_block tgt Ek_fall with
+                    match target_block tgt with
                     | `Local tb ->
                         ignore
                           (connect bld ~editable:false dslot tb (Ek_computed (Some tgt)))
@@ -574,8 +512,6 @@ let build ?diag ?budget ~mach ~cache ~fetch ~lo ~hi ~entries ~tables () =
     (if not g.complete then None
      else match candidate with [] -> None | a :: _ -> Some a);
   g
-
-(** {1 Statistics (experiments E3 and E4)} *)
 
 type stats = {
   s_blocks : int;

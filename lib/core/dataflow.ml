@@ -1,18 +1,3 @@
-(** Standard CFG analyses (paper §3.3): dominators, natural loops and live
-    registers.
-
-    "EEL can perform several standard CFG analyses: dominators, natural
-    loops, live registers, and slicing. EEL uses them to improve the
-    precision of control analysis and to reduce the need for run-time
-    mechanisms."
-
-    Liveness drives snippet register scavenging (§3.5): EEL assigns dead
-    registers to snippet virtual registers, falling back on spills when too
-    few are dead. The analysis is ABI-aware (see DESIGN.md): at routine exit
-    the callee-saved registers, the stack pointer, frame pointer and return
-    value are live; a call surrogate block defines the caller-volatile
-    registers and uses the argument registers. *)
-
 open Eel_arch
 module C = Cfg
 
@@ -34,9 +19,7 @@ let rpo (g : C.t) =
 (** {1 Dominators (Cooper–Harvey–Kennedy iterative algorithm)} *)
 
 type doms = {
-  d_rpo : C.block array;
   d_idom : int array;  (** indexed by bid; -1 = undefined/unreachable *)
-  d_index : int array;  (** bid -> rpo index; -1 if unreachable *)
   d_root : int;  (** virtual root above all entry blocks *)
 }
 
@@ -84,7 +67,7 @@ let dominators (g : C.t) =
             changed := true)))
       order
   done;
-  { d_rpo = order; d_idom = idom; d_index = index; d_root = root }
+  { d_idom = idom; d_root = root }
 
 (** [dominates d a b] — does block [a] dominate block [b]? *)
 let dominates d (a : C.block) (b : C.block) =
@@ -97,8 +80,6 @@ let dominates d (a : C.block) (b : C.block) =
       else up i
   in
   a.C.bid = b.C.bid || up b.C.bid
-
-(** {1 Natural loops} *)
 
 type loop = { header : C.block; body : C.block list (* includes header *) }
 
@@ -128,10 +109,6 @@ let natural_loops (g : C.t) =
     (C.edges g);
   !loops
 
-(** {1 Liveness} *)
-
-(** Caller-volatile registers under this repository's flat-register ABI:
-    %g1–%g6, %o0–%o5 and %o7. A call may clobber them all. *)
 let volatile_regs =
   Regset.union (Regset.range 1 6) (Regset.add 15 (Regset.range 8 13))
 
@@ -147,7 +124,7 @@ let abi_exit_live =
 let arg_regs = Regset.add 14 (Regset.range 8 13)
 
 type live = {
-  l_in : Regset.t array;  (** indexed by bid *)
+  l_in : Regset.t array;
   l_out : Regset.t array;
 }
 
@@ -207,10 +184,6 @@ let liveness (g : C.t) =
   done;
   { l_in; l_out }
 
-(** [live_before lv g b idx] — registers live immediately before position
-    [idx] in block [b]'s instruction sequence (indices over {!Cfg.all_instrs},
-    i.e. the terminator is the last position; [idx] equal to the number of
-    body instructions means "before the terminator"). *)
 let live_before lv (g : C.t) (b : C.block) idx =
   let arr = C.all_instrs_array b in
   let n = Array.length arr in
@@ -224,5 +197,4 @@ let live_before lv (g : C.t) (b : C.block) idx =
   done;
   !live
 
-(** Registers live on an edge: those live into the destination block. *)
 let live_on_edge lv (e : C.edge) = lv.l_in.(e.C.edst.C.bid)

@@ -1,43 +1,6 @@
-(** Editing CFGs and producing edited routines (paper §3.3.1).
-
-    "A tool edits a routine's CFG by deleting instructions, adding new code
-    before or after any instruction, or adding code along a control-flow
-    graph edge. [...] EEL accumulates edits without changing the CFG. [...]
-    Producing an edited routine involves laying out its blocks and snippets
-    to minimize unnecessary jumps and adjusting displacements and addresses
-    in control-transfer instructions — or occasionally replacing these
-    instructions by snippets containing instructions with a longer span."
-
-    The layout engine re-emits each routine:
-
-    - unedited delayed branches are {e refolded}: the original branch word
-      and its delay instruction are emitted verbatim (only the displacement
-      is adjusted), undoing the CFG's delay-slot duplication;
-    - edited branches are rewritten in expanded form (annul bit cleared,
-      [nop] in the slot) with out-of-line stubs carrying taken-edge code;
-    - indirect jumps through rewritten dispatch tables keep their original
-      form; {e unanalyzable} indirect jumps and indirect calls are replaced
-      by a run-time address-translation sequence through the executable's
-      translation table (§3.3: "run-time code ensures that control passes to
-      the correct edited instruction");
-    - conditional branches whose displacement no longer fits (or exceeds an
-      artificial [max_span], for the ablation experiment) are re-targeted at
-      a long-jump thunk appended to the routine (§3.3.1's "instructions with
-      a longer span").
-
-    The result ({!edited}) is position independent: words carry symbolic
-    patches ([P_orig] for cross-routine targets, [P_reloc] for absolute
-    targets such as added handler routines, [P_hi_label]/[P_lo_label] for
-    thunk address materialization) that {!Executable} resolves once every
-    routine's final address is known. *)
-
 open Eel_arch
 module C = Cfg
 module Diag = Eel_robust.Diag
-
-(** Historical alias: edit failures are now {!Diag.Error} values carrying
-    {!Diag.Edit_error}; kept so old match arms keep compiling. *)
-exception Edit_error of string
 
 let err fmt = Diag.edit_error fmt
 
@@ -89,17 +52,8 @@ let add_at ed (b : C.block) gap s =
   | Some r -> r := !r @ [ s ]
   | None -> Hashtbl.add ed.gaps (b.C.bid, gap) (ref [ s ]))
 
-(** Insert [s] before instruction [idx] of [b]. *)
 let add_before ed b idx s = add_at ed b idx s
 
-(** Insert [s] after instruction [idx] of [b]. *)
-let add_after ed (b : C.block) idx s = add_at ed b (idx + 1) s
-
-(** Insert [s] at the end of [b]'s straight-line body (before its
-    terminator, if any). *)
-let add_at_end ed (b : C.block) s = add_at ed b (Array.length b.C.instrs) s
-
-(** Add code along a CFG edge (paper Fig. 1: [e->add_code_along]). *)
 let add_along ed (e : C.edge) s =
   if not e.C.e_editable then err "edge %d is not editable" e.C.eid;
   e.C.e_edited <- true;
@@ -109,7 +63,6 @@ let add_along ed (e : C.edge) s =
   | Some r -> r := !r @ [ s ]
   | None -> Hashtbl.add ed.edge_code e.C.eid (ref [ s ])
 
-(** Delete instruction [idx] of block [b]. Terminators cannot be deleted. *)
 let delete ed (b : C.block) idx =
   check_block_editable b;
   if idx < 0 || idx >= Array.length b.C.instrs then
@@ -127,7 +80,7 @@ let is_deleted ed (b : C.block) idx = Hashtbl.mem ed.deleted (b.C.bid, idx)
 
 (** A block is untouched if no gap code, edge code or deletion refers to
     it — the condition for refolding its delay slot. *)
-let block_untouched ed (b : C.block) = not b.C.edited
+let block_untouched (b : C.block) = not b.C.edited
 
 (* ------------------------------------------------------------------ *)
 (* Edited-routine representation                                       *)
@@ -135,22 +88,21 @@ let block_untouched ed (b : C.block) = not b.C.edited
 
 type patch =
   | P_none
-  | P_label of int  (** pc-relative to a local label (resolved here) *)
+  | P_label of int
   | P_orig of int
-      (** pc-relative to the edited location of original address *)
-  | P_reloc of int  (** pc-relative to an absolute address *)
-  | P_hi_label of int  (** absolute-high of a local label's final address *)
+  | P_reloc of int
+  | P_hi_label of int
   | P_lo_label of int
 
 type eword = { mutable w : int; mutable patch : patch }
 
 type edited = {
   ed_words : eword array;
-  ed_labels : (int, int) Hashtbl.t;  (** label id -> word index *)
-  ed_entries : (int * int) list;  (** original entry address -> word index *)
-  ed_origin : (int, int) Hashtbl.t;  (** original instr address -> word index *)
-  ed_callbacks : (int * Snippet.instance) list;  (** word index, instance *)
-  ed_tables : C.table list;  (** dispatch tables to rewrite in place *)
+  ed_labels : (int, int) Hashtbl.t;
+  ed_entries : (int * int) list;
+  ed_origin : (int, int) Hashtbl.t;
+  ed_callbacks : (int * Snippet.instance) list;
+  ed_tables : C.table list;
   ed_uses_xlat : bool;
 }
 
@@ -191,16 +143,16 @@ let record_origin ?(force = true) em addr =
    the routine. *)
 type dest = D_label of int | D_orig of int
 
-let block_label em (b : C.block) = 100000 + b.C.bid
+let block_label (b : C.block) = 100000 + b.C.bid
 (* block labels use a distinct id space; fresh labels start at 0 and stay
    below 100000 because routines are far smaller *)
 
-let dest_of_edge em (e : C.edge) : dest =
+let dest_of_edge (e : C.edge) : dest =
   match e.C.ekind with
   | C.Ek_xfer a -> D_orig a
   | _ -> (
       match e.C.edst.C.kind with
-      | C.Normal -> D_label (block_label em e.C.edst)
+      | C.Normal -> D_label (block_label e.C.edst)
       | _ -> err "unexpected edge destination %d" e.C.edst.C.bid)
 
 let emit_goto em (d : dest) =
@@ -270,18 +222,18 @@ let fall_edge (b : C.block) =
 
 (* Is the chain rooted at edge [e] (edge + optional delay block + its out
    edge) free of edits, so the branch can be refolded? *)
-let chain_untouched ed (e : C.edge) =
+let chain_untouched (e : C.edge) =
   (not e.C.e_edited)
   &&
   match e.C.edst.C.kind with
-  | C.Delay -> block_untouched ed e.C.edst && not (delay_out e.C.edst).C.e_edited
+  | C.Delay -> block_untouched e.C.edst && not (delay_out e.C.edst).C.e_edited
   | _ -> true
 
 (* Final destination reached through edge [e] (skipping a delay block). *)
-let chain_dest em (e : C.edge) =
+let chain_dest (e : C.edge) =
   match e.C.edst.C.kind with
-  | C.Delay -> dest_of_edge em (delay_out e.C.edst)
-  | _ -> dest_of_edge em e
+  | C.Delay -> dest_of_edge (delay_out e.C.edst)
+  | _ -> dest_of_edge e
 
 (* Emit the code carried by edge [e]: edge snippets plus the delay block
    body (if the edge leads through one); returns the final destination. *)
@@ -300,14 +252,14 @@ let emit_chain em (e : C.edge) =
       | [] -> ()
       | snips ->
           emit_snippets em snips ~live:(Dataflow.live_on_edge em.live out));
-      dest_of_edge em out
-  | _ -> dest_of_edge em e
+      dest_of_edge out
+  | _ -> dest_of_edge e
 
 (* Emit "fall to [d]": nothing if [d] is the next block in layout order,
    otherwise an explicit goto. *)
 let emit_fall em d ~next =
   match (d, next) with
-  | D_label l, Some (nb : C.block) when l = block_label em nb -> ()
+  | D_label l, Some (nb : C.block) when l = block_label nb -> ()
   | _ -> emit_goto em d
 
 (* The run-time translation sequence for an indirect transfer whose target
@@ -339,7 +291,7 @@ let emit_xlat_transfer em ~rs1 ~op2 ~link ~delay_emit =
 let emit_block em (b : C.block) ~next =
   let ed = em.e in
   let m = ed.mach in
-  place_label em (block_label em b);
+  place_label em (block_label b);
   if b.C.is_data then
     (* data inside a routine stays in the original image; nothing to emit *)
     ()
@@ -389,12 +341,12 @@ let emit_block em (b : C.block) ~next =
           let te = taken_edge b in
           let fe = fall_edge b in
           let foldable =
-            ed.fold_delay && chain_untouched ed te && chain_untouched ed fe
+            ed.fold_delay && chain_untouched te && chain_untouched fe
           in
           if foldable then (
             (* re-emit the original branch (annul bit preserved) with its
                delay instruction back in the slot *)
-            let taken_dest = chain_dest em te in
+            let taken_dest = chain_dest te in
             (match taken_dest with
             | D_label l -> push em i.Instr.word (P_label l)
             | D_orig a -> push em i.Instr.word (P_orig a));
@@ -406,7 +358,7 @@ let emit_block em (b : C.block) ~next =
                 record_origin ~force:false em a;
                 push em di.Instr.word P_none
             | _ -> err "taken edge of branch at 0x%x lacks a delay block" addr);
-            let fall_dest = chain_dest em fe in
+            let fall_dest = chain_dest fe in
             emit_fall em fall_dest ~next)
           else (
             (* expanded form: annul cleared, nop in the slot, taken-edge
@@ -424,10 +376,10 @@ let emit_block em (b : C.block) ~next =
                   let taken_dest = emit_chain em te in
                   emit_goto em taken_dest )
               :: em.pending_stubs))
-    | C.T_goto { i; addr } ->
+    | C.T_goto { i; _ } ->
         let te = taken_edge b in
-        if ed.fold_delay && chain_untouched ed te then (
-          let d = chain_dest em te in
+        if ed.fold_delay && chain_untouched te then (
+          let d = chain_dest te in
           (match d with
           | D_label l -> push em i.Instr.word (P_label l)
           | D_orig a -> push em i.Instr.word (P_orig a));
@@ -466,7 +418,7 @@ let emit_block em (b : C.block) ~next =
            push em di.Instr.word P_none)
          else
            match b.C.term with
-           | C.T_icall { i; addr } ->
+           | C.T_icall { i; _ } ->
                let rs1, op2, link =
                  match i.Instr.ctl with
                  | Instr.C_jump_ind { rs1; op2; link } -> (rs1, op2, link)
@@ -485,7 +437,7 @@ let emit_block em (b : C.block) ~next =
         emit_snippets em (edge_snippets ed cont_edge) ~live;
         match cont_edge.C.ekind with
         | C.Ek_xfer a -> emit_goto em (D_orig a)
-        | _ -> emit_fall em (dest_of_edge em cont_edge) ~next)
+        | _ -> emit_fall em (dest_of_edge cont_edge) ~next)
     | C.T_return { i; addr } ->
         let dslot =
           match b.C.succs with
@@ -518,7 +470,7 @@ let emit_block em (b : C.block) ~next =
         | Some _ ->
             (* dispatch table rewritten in place: the loaded value is
                already an edited address *)
-            if block_untouched ed dslot then (
+            if block_untouched dslot then (
               push em i.Instr.word P_none;
               let a, di = dslot.C.instrs.(0) in
               record_origin ~force:false em a;
@@ -542,7 +494,6 @@ let emit_block em (b : C.block) ~next =
 (* produce_edited_routine                                              *)
 (* ------------------------------------------------------------------ *)
 
-(** [produce ed] lays out the edited routine (paper §3.3.1). *)
 let produce (ed : editor) : edited =
   let g = ed.g in
   let live = Dataflow.liveness g in
@@ -582,9 +533,9 @@ let produce (ed : editor) : edited =
           if snips <> [] then (
             let pos = here em in
             emit_snippets em snips ~live:(Dataflow.live_on_edge live e);
-            emit_goto em (dest_of_edge em e);
+            emit_goto em (dest_of_edge e);
             entry_fixups := (addr, `Idx pos) :: !entry_fixups)
-          else entry_fixups := (addr, `Dest (dest_of_edge em e)) :: !entry_fixups
+          else entry_fixups := (addr, `Dest (dest_of_edge e)) :: !entry_fixups
       | _ -> err "entry block %d malformed" eb.C.bid)
     g.C.entries;
   (* blocks *)
@@ -736,12 +687,6 @@ let verify (ed : edited) : string list =
     ed.ed_origin;
   List.rev !problems
 
-(** [verify_exn ?name ed] — {!verify}, with violations surfaced as the
-    structured {!Diag.Invariant_error} every oracle and driver already
-    matches on, instead of an ad-hoc exception. This is the form the
-    differential-execution oracle invokes automatically on every routine it
-    lays out, so invariant violations degrade into [Result.Error] values
-    (via {!Diag.guard}) rather than crashing a verification run. *)
 let verify_exn ?(name = "<routine>") (ed : edited) =
   match verify ed with
   | [] -> ()

@@ -1,43 +1,7 @@
-(** Executables and routines (paper §3.1, §3.2) — EEL's top-level
-    abstraction.
-
-    "A tool opens an executable, examines and modifies its contents, and
-    writes an edited version."
-
-    The heart of this module is {e symbol-table refinement}: executable
-    symbol tables are "typically incomplete or misleading", so EEL analyzes
-    the program to find data tables, hidden routines, and multiple entry
-    points (§3.1):
-
-    + discard duplicate, temporary and debugging labels, labels not on an
-      instruction boundary, and labels that are branch targets from the
-      preceding routine (internal labels);
-    + for stripped executables, seed routines with the program entry point,
-      the first text address, and the targets of direct calls;
-    + make the destinations of calls and out-of-routine jumps additional
-      entry points of the routines containing them;
-    + during CFG construction, classify reachable-but-invalid instructions
-      as data, and unreachable trailing code as {e hidden routines}, which
-      are queued on {!hidden_routines} for the tool to process (and whose
-      analysis may add entry points to existing routines).
-
-    Editing output model: the original sections are kept at their original
-    addresses (so every address constant into data — including data tables
-    in the text segment — stays valid), and edited code is placed in new
-    high-address sections. Dispatch tables are rewritten in place to point
-    at edited code; indirect calls and unanalyzable indirect jumps go
-    through a run-time translation table mapping original instruction
-    addresses to edited ones. [edited_addr] exposes the mapping, as in
-    paper Fig. 1. *)
-
 open Eel_arch
 module Sef = Eel_sef.Sef
 module C = Cfg
 module Diag = Eel_robust.Diag
-
-(** Historical alias: executable-level failures are now {!Diag.Error} values
-    carrying {!Diag.Exe_error}; kept so old match arms keep compiling. *)
-exception Exe_error of string
 
 let err fmt = Diag.exe_error fmt
 
@@ -45,11 +9,11 @@ type routine = {
   r_name : string;
   r_lo : int;
   mutable r_hi : int;
-  mutable r_entries : int list;  (** entry addresses; [r_lo] is always one *)
+  mutable r_entries : int list;
   mutable r_cfg : C.t option;
   mutable r_editor : Edit.editor option;
   mutable r_edited : Edit.edited option;
-  r_hidden : bool;  (** discovered by analysis rather than the symbol table *)
+  r_hidden : bool;
 }
 
 type t = {
@@ -58,8 +22,8 @@ type t = {
   cache : Instr_cache.t;
   text_lo : int;
   text_hi : int;
-  mutable routines : routine list;  (** sorted by [r_lo] *)
-  mutable hidden : routine list;  (** discovery queue (paper Fig. 1) *)
+  mutable routines : routine list;
+  mutable hidden : routine list;
   (* new-region allocation *)
   xlat_base : int;
   data_base : int;
@@ -71,20 +35,18 @@ type t = {
   (* editing policy knobs (ablations) *)
   mutable fold_delay : bool;
   mutable max_span : int option;
-  mutable slicing : bool;  (** dispatch-table slicing enabled *)
+  mutable slicing : bool;
   (* finalized layout *)
   mutable addr_map : (int, int) Hashtbl.t option;
   mutable placed : (routine * Edit.edited * int) list;
   mutable new_text_base : int;
   mutable new_text_size : int;
   (* robustness plumbing *)
-  diag : Diag.sink option;  (** degradation diagnostics accumulate here *)
-  work : Diag.budget;  (** decode/analysis work bound (anti-non-termination) *)
+  diag : Diag.sink option;
+  work : Diag.budget;
 }
 
 let data_region_size = 4 * 1024 * 1024
-
-(** {1 Opening} *)
 
 let text_section exe =
   match Sef.text_sections exe with
@@ -275,22 +237,10 @@ let read_contents_inner ?(cache_instrs = true) ?diag ?budget (mach : Machine.t)
     !branch_pairs;
   t
 
-(** [read_contents ?cache_instrs ?diag ?budget mach exe] opens an executable
-    and performs symbol-table refinement stages 1–3. Stage 4 happens lazily
-    as CFGs are built. [diag] receives degradation warnings from the whole
-    pipeline; [budget] bounds total analysis work (default
-    {!Diag.default_budget_units}). *)
 let read_contents ?cache_instrs ?diag ?budget (mach : Machine.t) (exe : Sef.t) =
   Eel_obs.Trace.with_span "exe.open" (fun () ->
       read_contents_inner ?cache_instrs ?diag ?budget mach exe)
 
-(** [open_exe ?strict ?diag ?cache_instrs ?budget mach exe] — the
-    Result-returning front door. Re-validates the in-memory image (callers
-    may have constructed [exe] directly rather than via {!Sef.load}), then
-    runs symbol-table refinement. [Error _] carries the structured failure;
-    diagnostics, if a sink was supplied, describe everything that was
-    degraded along the way. In [strict] mode the sink promotes warnings to
-    errors and validation failures reject the executable. *)
 let open_exe ?(strict = false) ?diag ?cache_instrs ?budget (mach : Machine.t)
     (exe : Sef.t) : (t, Diag.error) result =
   Diag.guard (fun () ->
@@ -313,29 +263,8 @@ let routines t = t.routines
 
 let hidden_routines t = t.hidden
 
-(** {1 Routine-granular analysis artifacts (the serve subsystem's cache)}
-
-    Everything CFG construction and the slicing fixpoint derive from a
-    routine is a function of the routine's text bytes, its entry set and
-    its placement — so it can be cached content-addressed and reused across
-    invocations, and a patched executable only re-analyzes the routines
-    whose bytes actually changed. {!routine_digest} is the key;
-    {!set_analysis_cache} installs an ambient lookup/store pair that
-    {!build_cfg} consults (lib/serve provides one backed by its
-    content-addressed store; when none is installed the pipeline behaves
-    exactly as before). *)
-
-(** Bump when anything that feeds {!routine_digest} or the cached artifact
-    encoding changes shape: stale artifacts must miss, not corrupt. *)
 let analysis_version = "eel.rf.v1"
 
-(** [routine_digest t r] — content digest (hex) of everything the routine's
-    analysis depends on: the artifact-format version, the machine, the
-    slicing policy, the routine's placement [r_lo] (dispatch-table targets
-    are absolute addresses), extent, sorted relative entry offsets, and the
-    routine's text bytes. Table {e contents} live in data sections outside
-    the digest; cached tables are therefore re-validated against memory
-    before use (see {!build_cfg}). *)
 let routine_digest t (r : routine) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf analysis_version;
@@ -355,9 +284,7 @@ let routine_digest t (r : routine) =
 
 type analysis_hooks = {
   ac_lookup : string -> (int * C.table) list option;
-      (** digest -> previously-converged dispatch tables, if cached *)
   ac_store : string -> (int * C.table) list -> unit;
-      (** record a converged table set under the routine's digest *)
 }
 
 (* Ambient, process-wide: set once before any fan-out (worker domains read
@@ -366,8 +293,6 @@ type analysis_hooks = {
    across domains. *)
 let analysis_cache : analysis_hooks option Atomic.t = Atomic.make None
 
-(** [set_analysis_cache h] installs (or, with [None], removes) the ambient
-    per-routine analysis cache. Call before spawning pool workers. *)
 let set_analysis_cache h = Atomic.set analysis_cache h
 
 let start_address t = t.exe.Sef.entry
@@ -378,8 +303,6 @@ let find_routine t addr =
 let routine_named t name = List.find_opt (fun r -> r.r_name = name) t.routines
 
 let fetch t addr = Sef.fetch32 t.exe addr
-
-(** {1 CFG construction with the slicing fixpoint (stage 4)} *)
 
 (* A cached table is trusted only if the memory it points at still decodes
    to the recorded targets: the routine digest covers the routine's text,
@@ -489,7 +412,6 @@ let rec build_cfg t (r : routine) =
       build_cfg t r
   | _ -> ())
 
-(** [control_flow_graph t r] — the routine's CFG, built on first use. *)
 let control_flow_graph t r =
   match r.r_cfg with
   | Some g -> g
@@ -499,8 +421,6 @@ let control_flow_graph t r =
         (fun () -> build_cfg t r);
       Option.get r.r_cfg
 
-(** [take_hidden t] pops one discovered hidden routine and registers it as a
-    normal routine (the paper Fig. 1 main loop). *)
 let take_hidden t =
   match t.hidden with
   | [] -> None
@@ -510,16 +430,12 @@ let take_hidden t =
         List.sort (fun a b -> compare a.r_lo b.r_lo) (h :: t.routines);
       Some h
 
-(** A "routine" that analysis revealed to be pure data (e.g. a table in the
-    text segment carrying a function-looking symbol). *)
 let is_data_table t r =
   let g = control_flow_graph t r in
   List.for_all
     (fun (b : C.block) -> b.C.kind <> C.Normal || b.C.is_data || not b.C.reachable)
     (C.blocks g)
   && List.exists (fun (b : C.block) -> b.C.is_data) (C.blocks g)
-
-(** {1 Editing} *)
 
 let editor t r =
   match r.r_editor with
@@ -533,25 +449,14 @@ let editor t r =
       r.r_editor <- Some e;
       e
 
-(** [produce_edited_routine t r] lays out the routine's accumulated edits
-    (paper §3.3.1). Safe to call with no edits: the routine is re-emitted
-    verbatim with adjusted displacements. *)
 let produce_edited_routine t r =
   let e = editor t r in
   r.r_edited <- Some (Edit.produce e)
 
-(** [delete_control_flow_graph r] — drop analysis state (paper Fig. 1 frees
-    CFGs after each routine to bound memory). The edited form is kept. *)
 let delete_control_flow_graph (r : routine) =
   r.r_cfg <- None;
   r.r_editor <- None
 
-(** {1 Adding data and routines} *)
-
-(** [reserve_data t ?init size] allocates [size] bytes in the added-data
-    region (zero-initialized unless [init] is given) and returns the
-    address — known immediately, so tools can bake it into snippets
-    (paper Fig. 2's [COUNTER_START]). *)
 let reserve_data t ?init size =
   let addr = (t.data_cursor + 7) land lnot 7 in
   if addr + size > t.data_base + data_region_size then
@@ -567,10 +472,6 @@ let reserve_data t ?init size =
   t.added_data <- (addr, bytes) :: t.added_data;
   addr
 
-(** [add_routine t ~name body] assembles [body] (snippet syntax: labels,
-    [$params], no directives) and places it at a fresh address, returned
-    immediately so snippets can call it. This is how Active Memory "adds
-    many routines (another program) to an executable" (§5). *)
 let add_routine t ~name ?(params = []) body =
   match t.mach.Machine.asm ~params body with
   | Error m -> err "add_routine %s: %s" name m
@@ -591,8 +492,6 @@ let add_routine t ~name ?(params = []) body =
       t.code_cursor <- addr + (4 * Array.length words);
       t.added_routines <- (name, addr, words) :: t.added_routines;
       addr
-
-(** {1 Finalization and output} *)
 
 (** Lay out every routine and build the original->edited address map.
     Routines without accumulated edits are re-emitted verbatim. *)
@@ -679,27 +578,16 @@ let finalize t =
             ed.Edit.ed_entries)
         placed
 
-(** [edited_addr t a] — the edited location of original instruction address
-    [a] (paper Fig. 1). *)
 let edited_addr t a =
   finalize t;
   match t.addr_map with
   | Some map -> Hashtbl.find_opt map a
   | None -> assert false
 
-(** [edited_address_map t] — the complete original→edited instruction
-    address map (finalizing the layout if needed). The differential oracle
-    inverts this to normalize code-pointer values (e.g. a spilled return
-    address) observed in an edited run back to original addresses before
-    comparing against the original run. Treat the table as read-only. *)
 let edited_address_map t =
   finalize t;
   match t.addr_map with Some map -> map | None -> assert false
 
-(** [edited_growth t] — per-routine static cost of the accumulated edits:
-    [(name, original bytes, edited bytes)] for every routine an edited form
-    was placed for, sorted by name. The overhead ledger's "routines
-    touched" and static-size columns come from here. *)
 let edited_growth t =
   finalize t;
   List.map
@@ -708,11 +596,6 @@ let edited_growth t =
     t.placed
   |> List.sort compare
 
-(** [inverse_address_norm t] — a value normalizer for the differential
-    oracle: edited instruction addresses map back to their original ones,
-    anything else passes through. An edited run that spills a code pointer
-    (e.g. a return address after [call]) observes the edited address; this
-    maps it back so the value compares equal to the original run's. *)
 let inverse_address_norm t =
   let map = edited_address_map t in
   let inv = Hashtbl.create (Hashtbl.length map) in
@@ -721,9 +604,6 @@ let inverse_address_norm t =
     map;
   fun v -> match Hashtbl.find_opt inv v with Some orig -> orig | None -> v
 
-(** [block_of_addr t a] — the CFG block id and routine name containing the
-    original instruction address [a], if analysis placed it in one. Used by
-    divergence reports to anchor a PC in CFG terms. *)
 let block_of_addr t a =
   match find_routine t a with
   | None -> None
@@ -743,8 +623,6 @@ let block_of_addr t a =
                     Some (r.r_name, b.C.bid)
                 | _ -> None)
             (C.blocks g))
-
-(** {1 Building the edited image} *)
 
 let patch_word t map ~pc (ew : Edit.eword) ~labels ~base =
   let lift w = t.mach.Machine.lift w in
@@ -773,11 +651,6 @@ let patch_word t map ~pc (ew : Edit.eword) ~labels ~base =
       let addr = base + (4 * Hashtbl.find labels l) in
       t.mach.Machine.set_const_lo ew.Edit.w ~value:addr
 
-(** [to_edited_sef t ?entry ()] builds the edited executable image: original
-    sections (with dispatch tables rewritten in place), the edited text
-    section, added data/routines, the run-time translation table if needed,
-    and a refreshed symbol table mapping routine names to their edited
-    locations. *)
 let to_edited_sef t ?entry () =
   finalize t;
   Eel_obs.Trace.with_span "edit.emit" @@ fun () ->
@@ -965,21 +838,13 @@ let to_edited_sef t ?entry () =
      @ [ text_section ])
     ~symbols:(routine_syms @ added_syms @ data_syms)
 
-(** [write_edited_executable t path ~entry] — paper Fig. 1's final step. *)
-let write_edited_executable t path ~entry =
-  Sef.write_file path (to_edited_sef t ~entry ())
-
-(** {1 Program-wide statistics (experiments E2–E5, E8)} *)
-
 type jump_stats = {
   js_routines : int;
-  js_instructions : int;  (** text words *)
+  js_instructions : int;
   js_indirect_jumps : int;
   js_unanalyzable : int;
 }
 
-(** Build every routine's CFG and count indirect-jump analyzability — the
-    paper's §3.3 SPEC92 measurement. *)
 let jump_stats t =
   Eel_obs.Trace.with_span "exe.jump_stats" @@ fun () ->
   (* force analysis of everything, including queued hidden routines *)
@@ -1014,7 +879,6 @@ let jump_stats t =
     js_unanalyzable = !unan;
   }
 
-(** Aggregate CFG statistics over every routine (experiments E3, E4). *)
 let cfg_stats t =
   let zero =
     {

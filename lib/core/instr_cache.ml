@@ -1,15 +1,3 @@
-(** Instruction sharing (paper §3.4).
-
-    "To improve efficiency, EEL allocates only one instruction to represent
-    all instances of a particular machine instruction. Typically, this
-    optimization reduces the number of allocated EEL instructions by a
-    factor of four."
-
-    EEL instructions ({!Eel_arch.Instr.t}) are position independent — control
-    transfer targets are displacements — so all occurrences of one encoding
-    word can share a single value. The cache can be disabled to measure the
-    effect (experiment E5). *)
-
 type t = {
   mach : Eel_arch.Machine.t;
   table : (int, Eel_arch.Instr.t) Hashtbl.t;
@@ -18,10 +6,6 @@ type t = {
 
 let create ?(enabled = true) mach = { mach; table = Hashtbl.create 1024; enabled }
 
-(** [lift c word] returns the (possibly shared) EEL instruction for a machine
-    word, updating the {!Stats} counters. The hit path uses [Hashtbl.find]
-    with an exception handler rather than [find_opt], so a shared lookup
-    allocates nothing. *)
 let lift c word =
   let s = Stats.stats () in
   s.instrs_lifted <- s.instrs_lifted + 1;
@@ -37,5 +21,3 @@ let lift c word =
         Hashtbl.add c.table word i;
         i
 
-(** Number of distinct instruction objects allocated through this cache. *)
-let unique c = Hashtbl.length c.table

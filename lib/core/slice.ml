@@ -1,36 +1,9 @@
-(** Backward slicing and indirect-jump analysis (paper §3.3, Fig. 4).
-
-    "Most indirect jumps occur in case statements, in which they jump through
-    a dispatch table of addresses. EEL finds this type of table — in an
-    architecture and compiler-independent manner — by computing a backward
-    slice from the jump instruction's registers. [...] After finding the
-    table's address, EEL builds a precise CFG for the indirect jump and
-    subsequently modifies the table to point to edited locations. The same
-    slice also can find the address used in the common idiom of an indirect
-    jump to a literal value. If a slice fails [...] EEL marks the CFG as
-    incomplete and inserts code to translate the jump's target address at
-    run time."
-
-    The slice walks backward over the (possibly still incomplete) CFG,
-    constant-folding computations through the machine description's
-    {!Eel_arch.Machine.t.eval_compute} hook. Loads are resolved only when
-    their {e address} slices to a constant (the dispatch-table case);
-    floating-point and other untraceable definitions make the jump
-    unanalyzable, exactly as in the paper's Fig. 4. *)
-
 open Eel_arch
 module C = Cfg
 
-type value =
-  | Const of int  (** the register holds this constant on every path *)
-  | Table_load of { base : int; index_known : bool }
-      (** defined by a load whose address is [base + unknown index] *)
-  | Unknown
-
-(** Result of analyzing one indirect jump. *)
 type jump_resolution =
-  | Literal of int  (** jump to a statically-known address *)
-  | Dispatch of C.table  (** jump through a dispatch table *)
+  | Literal of int
+  | Dispatch of C.table
   | Unanalyzable
 
 let max_depth = 64
@@ -163,8 +136,6 @@ let infer_bound (g : C.t) db dk idx_reg =
           | _ -> None))
   | None -> None
 
-(** Analyze one indirect jump terminator (paper §3.3). [b] must have a
-    [T_jump] terminator. *)
 let resolve_jump ~fetch (g : C.t) (b : C.block) =
   match b.C.term with
   | C.T_jump { i; _ } | C.T_icall { i; _ } -> (
@@ -232,12 +203,6 @@ let resolve_jump ~fetch (g : C.t) (b : C.block) =
       invalid_arg
         "Slice.resolve_jump: block does not end in an indirect transfer"
 
-(** Advisory resolution for call-graph construction: when an indirect
-    transfer's target register was loaded from a {e statically-known}
-    location, return that cell's initial contents. This is unsound for
-    editing (the cell may be overwritten at run time — which is why
-    {!resolve_jump} does not do it) but is the conventional approximation
-    for an advisory interprocedural call graph. *)
 let loaded_cell ~fetch (g : C.t) (b : C.block) =
   match b.C.term with
   | C.T_jump { i; _ } | C.T_icall { i; _ } -> (
@@ -266,10 +231,6 @@ let loaded_cell ~fetch (g : C.t) (b : C.block) =
       | _ -> None)
   | _ -> None
 
-(** Analyze every indirect jump of a CFG; returns discovered tables (for the
-    CFG rebuild fixpoint) and the number of unanalyzable jumps. A [Literal]
-    resolution is represented as a single-entry pseudo-table with
-    [t_addr = -1] (nothing to rewrite in the image). *)
 let resolve_all ~fetch (g : C.t) =
   Eel_obs.Trace.with_span "cfg.slice" @@ fun () ->
   let tables = ref [] in

@@ -1,29 +1,9 @@
-(** Code snippets (paper §3.5, Figs. 2 and 5).
-
-    "A code snippet encapsulates foreign code that is added to an executable.
-    [...] EEL finds the live registers at the point at which the snippet is
-    inserted and assigns dead (unused) registers to the snippet. If EEL
-    cannot find enough dead registers, it wraps the snippet with code to
-    spill registers to the stack."
-
-    A snippet's body is written in the target machine's assembly syntax with
-    {e virtual registers} ([%v0]–[%v7]) standing for the registers EEL will
-    scavenge, and [$name] parameters for tool-supplied constants (counter
-    addresses, handler entry points). Tools may also patch constant fields
-    after creation ({!patch_hi}/{!patch_lo} — the paper's [SET_SETHI_HI]
-    idiom) and may register a {e call-back} that runs after register
-    allocation and placement, receiving the final instruction words and
-    address (used for displacement fix-ups and address recording). *)
-
 open Eel_arch
 
-(** Context passed to a snippet call-back after register allocation and
-    placement (paper §3.5). The call-back may modify [cb_words] in place
-    but must not change the snippet's length. *)
 type cb_ctx = {
-  cb_words : int array;  (** final, register-allocated instruction words *)
-  cb_addr : int;  (** address of the snippet's first instruction *)
-  cb_assigned : int array;  (** virtual register -> physical register *)
+  cb_words : int array;
+  cb_addr : int;
+  cb_assigned : int array;
 }
 
 type t = {
@@ -37,7 +17,6 @@ type t = {
 
 exception Snippet_error of string
 
-(** [of_asm mach ?params ?forbid ?callback body] assembles a snippet body. *)
 let of_asm (mach : Machine.t) ?(params = []) ?(forbid = Regset.empty) ?callback
     body =
   match mach.Machine.asm ~params body with
@@ -46,45 +25,17 @@ let of_asm (mach : Machine.t) ?(params = []) ?(forbid = Regset.empty) ?callback
       (Stats.stats ()).snippets_alloc <- (Stats.stats ()).snippets_alloc + 1;
       { sn_template; sn_forbid = forbid; sn_callback = callback }
 
-(** [of_words words] wraps raw machine words (no virtual registers). *)
-let of_words ?(forbid = Regset.empty) ?callback words =
-  (Stats.stats ()).snippets_alloc <- (Stats.stats ()).snippets_alloc + 1;
-  { sn_template = Template.of_words words; sn_forbid = forbid; sn_callback = callback }
-
-let length s = Template.length s.sn_template
-
-(** [patch s index f] rewrites template word [index] with [f] — the
-    low-level customization hook of paper Fig. 5 ([find_inst] +
-    [SET_SETHI_HI]). Returns a new snippet. *)
-let patch s index f =
-  let words = Array.copy s.sn_template.Template.words in
-  words.(index) <- f words.(index);
-  { s with sn_template = { s.sn_template with Template.words } }
-
-let patch_hi (mach : Machine.t) s index ~value =
-  patch s index (fun w -> mach.Machine.set_const_hi w ~value)
-
-let patch_lo (mach : Machine.t) s index ~value =
-  patch s index (fun w -> mach.Machine.set_const_lo w ~value)
-
-(** Result of instantiating a snippet at a program point. *)
 type instance = {
-  in_words : int array;  (** body with registers assigned, spills wrapped *)
-  in_relocs : Template.reloc list;  (** indices adjusted for the prologue *)
+  in_words : int array;
+  in_relocs : Template.reloc list;
   in_callback : (cb_ctx -> unit) option;
   in_assigned : int array;
-  in_body_off : int;  (** index of the first body word (after spill code) *)
-  in_spilled : int;  (** number of spilled registers (for statistics) *)
+  in_body_off : int;
+  in_spilled : int;
 }
 
-(** EEL's red zone: snippet spill slots live below the stack pointer. The
-    ABI in this repository reserves 64 bytes of red zone for the editor. *)
 let red_zone = 64
 
-(** [instantiate mach s ~live] performs context-dependent register
-    allocation (scavenging): virtual registers receive registers that are
-    dead at the insertion point; when too few are dead, victims are spilled
-    around the body. *)
 let instantiate (mach : Machine.t) s ~live =
   let nv = Template.num_vregs s.sn_template in
   let avail =

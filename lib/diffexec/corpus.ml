@@ -1,18 +1,3 @@
-(** The differential-oracle corpus: every example executable the identity
-    round-trip oracle must prove event-equivalent.
-
-    Hand-written programs cover each observable-event source and each
-    control idiom the editor must preserve — delayed/annulled branches,
-    jump-table dispatch, recursion that spills return addresses (the code
-    pointers the oracle's address-map normalization exists for), every
-    memory-access width — and the {!Eel_workload.Gen} programs reproduce
-    the compiler-shaped workloads the rest of the evaluation runs on.
-
-    Corpus programs never use [ta 7] (cycle counter): the edited image
-    legitimately executes extra translation instructions, so cycle counts
-    are the one observable that {e should} differ between equivalent
-    images. *)
-
 module Gen = Eel_workload.Gen
 
 let exit0 = "        mov 0, %o0\n        ta 1\n        nop\n"
@@ -177,9 +162,6 @@ let sources : (string * string) list =
     ("memory-bound", Gen.memory_bound ~iters:4 ~size_words:64 ());
   ]
 
-(** Every corpus program, assembled. The corpus is part of the test
-    contract: a program that stops assembling is a build break, not a
-    skipped case. *)
 let all () =
   List.map
     (fun (name, src) ->
@@ -187,20 +169,6 @@ let all () =
       | Ok exe -> (name, exe)
       | Error m -> failwith (Printf.sprintf "corpus %s: %s" name m))
     sources
-
-(** {1 The OS-mode corpus}
-
-    I/O-bound programs over the {!Eel_os} syscall ABI: each pairs an
-    assembly source with the {!Eel_os.Spec} world it runs against. The
-    programs branch on [read] results and error flags, never on [write]
-    results — the property that lets the same binaries stay
-    event-equivalent under SFI's write-denying interposition policy.
-
-    Like [ta 7] (cycle counter) in the base corpus, [brk] is excluded
-    here: its return value is the image's data-segment end, which an
-    edited (grown) image legitimately moves — the one syscall result that
-    {e should} differ between equivalent images. [brk] is exercised by
-    the OS unit tests instead. *)
 
 module Os_spec = Eel_os.Spec
 
@@ -503,9 +471,6 @@ let os_gen seed =
   let src, world = Gen.os_program { Gen.default with seed } in
   (src, spec_of_world world)
 
-(** name -> (source, world). Hand-written programs covering each syscall,
-    each errno path and each I/O shape, plus seeded generator variants
-    (one per {!Gen.os_program} shape). *)
 let os_sources : (string * (string * Os_spec.t)) list =
   [
     ("os-hello", (os_hello, Os_spec.empty));
@@ -528,7 +493,6 @@ let os_sources : (string * (string * Os_spec.t)) list =
     ("os-gen-config", os_gen 1);
   ]
 
-(** The OS corpus, assembled; same contract as {!all}. *)
 let all_os () =
   List.map
     (fun (name, (src, spec)) ->

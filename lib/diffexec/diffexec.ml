@@ -1,44 +1,3 @@
-(** Differential execution oracle: does editing preserve behaviour?
-
-    EEL's core claim (paper §3.3, §5) is that a fully-linked executable can
-    be edited without changing what it {e does}: "run-time code ensures that
-    control passes to the correct edited instruction", dispatch tables are
-    rewritten consistently, and the edited SPEC binaries "produce the same
-    output". The paper validates this indirectly, by running edited
-    benchmarks; Datalog Disassembly's methodology is stronger — round-trip
-    real binaries through the rewriter and {e check} functional equivalence.
-    This module is that methodology made executable:
-
-    - {!execute} runs one image under {!Eel_emu.Emu} with the
-      observable-event sink installed, capturing traps (with arguments),
-      stores (with address and value), and the terminal event — exit, fault
-      or fuel exhaustion — as one bounded log;
-    - {!compare_runs} is the lockstep comparator: it walks the two logs
-      index-by-index and classifies the first divergence as an
-      {e event-kind mismatch}, a {e value mismatch}, or a
-      {e fault asymmetry} — or the whole pair as {e equivalent},
-      {e fuel-truncated-equal} (neither side can be refuted under the
-      shared budget) or {e both-fault};
-    - {!identity_roundtrip} is the round-trip oracle: load → CFG (hidden
-      routines drained) → {e no-op edit} → finalize (which runs
-      {!Eel.Edit.verify} on every routine, surfacing violations as
-      structured {!Eel_robust.Diag} errors) → emit → run both images and
-      require event-equivalence.
-
-    Two normalizations make the comparison exact rather than heuristic:
-
-    + {e memory geometry}: both images are loaded with headroom chosen so
-      their address spaces have identical size, hence identical initial
-      stack pointers — stack traffic compares address-for-address;
-    + {e code pointers}: an edited run observes edited code addresses
-      (e.g. a spilled return address after [call]); the oracle inverts the
-      executable's original→edited address map ({!Eel.Executable.edited_address_map})
-      and maps such values back before comparing.
-
-    Results are exported through [eel.diff.*] metrics and trace spans, so
-    divergence rates appear in the same observability namespace as every
-    other pipeline measurement. *)
-
 module Emu = Eel_emu.Emu
 module Tier2 = Eel_emu.Tier2
 module Sef = Eel_sef.Sef
@@ -48,76 +7,34 @@ module Trace = Eel_obs.Trace
 module Metrics = Eel_obs.Metrics
 module Contract = Eel_equiv.Contract
 
-(** Default shared fuel budget for a differential run: small enough that a
-    hostile mutant cannot stall a fuzzing campaign, large enough that every
-    corpus program runs to completion. *)
 let default_fuel = 2_000_000
 
-(** {1 Running one side} *)
-
-(** How a run ended. Mirrors the terminal observable event — {!Emu.Ob_exit},
-    {!Emu.Ob_fault} or {!Emu.Ob_fuel} — as a summary value. *)
 type stop = S_exit of int | S_fault of string | S_fuel
-
-let stop_name = function
-  | S_exit _ -> "exit"
-  | S_fault _ -> "fault"
-  | S_fuel -> "fuel"
 
 let pp_stop fmt = function
   | S_exit c -> Format.fprintf fmt "exit %d" c
   | S_fault m -> Format.fprintf fmt "fault: %s" m
   | S_fuel -> Format.fprintf fmt "out of fuel"
 
-(** One side of a differential comparison: the bounded observable-event
-    log plus end-of-run machine state. *)
 type run = {
   r_stop : stop;
-  r_events : Emu.obs_event array;  (** retained events, execution order *)
-  r_total : int;  (** all events, including any dropped past the bound *)
+  r_events : Emu.obs_event array;
+  r_total : int;
   r_truncated : bool;
-  r_filtered : int;  (** events a contract filter masked at record time *)
-  r_filtered_stores : int;  (** masked events that were stores *)
-  r_filtered_traps : int;  (** masked events that were traps *)
-  r_filtered_syscalls : int;  (** masked events that were OS syscalls *)
+  r_filtered : int;
+  r_filtered_stores : int;
+  r_filtered_traps : int;
+  r_filtered_syscalls : int;
   r_out : string;
   r_insns : int;
-  r_regs : int array;  (** final register file *)
-  r_mem : Bytes.t;  (** final memory image (contract checks read it) *)
-  r_profile : Emu.profile option;  (** ground-truth profile, when requested *)
+  r_regs : int array;
+  r_mem : Bytes.t;
+  r_profile : Emu.profile option;
 }
 
-(** [execute ?fuel ?limit ?headroom exe] loads and runs [exe] with the
-    observable-event sink installed. Machine faults and fuel exhaustion are
-    {e data} here, not errors — they end the log like any other terminal
-    event. [Error _] is reserved for images the emulator cannot even load
-    (hostile geometry), reported as a structured {!Diag.error} so drivers
-    degrade like the rest of the front end.
-
-    [profile] additionally collects the ground-truth execution profile;
-    [filter] installs a record-time event filter with access to the live
-    machine (the contract oracle masks an edit's declared side effects
-    there, where the stack pointer is still known); [pokes] installs a
-    deterministic environment-fault plan ({!Emu.poke}) — the injection
-    campaign corrupts chosen words mid-run through it; [os] installs the
-    OS layer (lib/os) with fresh per-run state built from the spec, so
-    the run's syscalls surface as {!Emu.Ob_syscall} events.
-
-    [tier] selects the execution engine ({!Tier2.tier}); the default is
-    {!Tier2.Block} — the block-compiled tier is event-identical to the
-    interpreter (the test suite pins this corpus-wide) and the engine
-    itself falls back to tier-1 whenever per-instruction instrumentation
-    (a profile or a poke plan) is armed, so callers need not care.
-    [~predecode:false] without an explicit [tier] means {!Tier2.Interp}. *)
 let execute ?(fuel = default_fuel) ?limit ?headroom ?(profile = false) ?filter
-    ?predecode ?tier ?(pokes = []) ?os (exe : Sef.t) : (run, Diag.error) result
-    =
-  let tier =
-    match (tier, predecode) with
-    | Some tr, _ -> tr
-    | None, Some false -> Tier2.Interp
-    | None, _ -> Tier2.Block
-  in
+    ?(tier = Tier2.Block) ?(pokes = []) ?os (exe : Sef.t) :
+    (run, Diag.error) result =
   let predecode = tier <> Tier2.Interp in
   match
     try
@@ -166,17 +83,11 @@ let execute ?(fuel = default_fuel) ?limit ?headroom ?(profile = false) ?filter
           r_profile = prof;
         }
 
-(** {1 The lockstep comparator} *)
-
-(** First-divergence classification (the comparator's contract). *)
 type dclass =
-  | D_kind  (** the two sides produced different {e kinds} of event *)
-  | D_value  (** same event kind, different payload (address/value/code) *)
-  | D_fault_asym  (** one side faulted where the other did something else *)
+  | D_kind
+  | D_value
+  | D_fault_asym
   | D_contract
-      (** the mismatch is the edited side's own instrumentation stepping
-          outside its contract (e.g. a counter store to an undeclared
-          address), not a program-behaviour change *)
 
 let dclass_name = function
   | D_kind -> "kind-mismatch"
@@ -185,16 +96,11 @@ let dclass_name = function
   | D_contract -> "contract"
 
 type verdict =
-  | Equivalent  (** both exited; logs and output identical *)
+  | Equivalent
   | Fuel_truncated_equal
-      (** identical up to where fuel (or the log bound) ran out on at
-          least one side: equivalence is neither proven nor refuted *)
-  | Both_fault  (** both faulted after identical observable prefixes *)
+  | Both_fault
   | Diverged of dclass
   | Contract_violation
-      (** the edit broke its own contract: either an undeclared side
-          effect surfaced in the event stream, or a post-run check on the
-          instrumentation's output failed *)
 
 let verdict_name = function
   | Equivalent -> "equivalent"
@@ -207,33 +113,30 @@ let is_divergence = function
   | Diverged _ | Contract_violation -> true
   | _ -> false
 
-(** Where (and how) the two runs first disagreed. [dv_pc] is the
-    {e original-side} program counter — the address a tool-writer can find
-    in the unedited binary; [dv_block] anchors it in CFG terms when the
-    oracle has the analysis at hand. For a {!Contract_violation} classified
-    from the event stream, [dv_pc] is instead the {e edited-side} pc of the
-    offending instrumentation event — the undeclared side effect has no
-    original-side home by definition. *)
 type divergence = {
   dv_class : dclass;
-  dv_index : int;  (** event index of the first mismatch *)
+  dv_index : int;
   dv_pc : int;
-  dv_block : (string * int) option;  (** routine name, block id *)
+  dv_block : (string * int) option;
   dv_what : string;
   dv_orig : Emu.obs_event option;
   dv_edit : Emu.obs_event option;
   dv_reg_delta : (int * int * int) list;
-      (** registers differing at end of run: (reg, original, edited);
-          normalized values compared, raw values reported *)
 }
 
 type report = {
   rp_verdict : verdict;
   rp_divergence : divergence option;
-  rp_events : int * int;  (** total observable events per side *)
-  rp_insns : int * int;  (** dynamic instructions per side *)
-  rp_stops : stop * stop;  (** how each side ended *)
+  rp_events : int * int;
+  rp_insns : int * int;
+  rp_stops : stop * stop;
 }
+
+(* Two observed values agree when their raw words are equal — the stored
+   bytes are then identical, even if the word happens to lie in the edited
+   image's code range and [norm_b] would map only one side — or when their
+   normalized forms are. *)
+let same_value ~norm_a ~norm_b va vb = va = vb || norm_a va = norm_b vb
 
 (* Event payload comparison under per-side value normalization. [Ok] means
    the events match; [Error] classifies and describes the mismatch. The pc
@@ -246,7 +149,7 @@ let same_event ~norm_a ~norm_b (a : Emu.obs_event) (b : Emu.obs_event) :
       Emu.Ob_trap { num = nb; arg = ab; _ } ) ->
       if na <> nb then
         Error (D_value, Printf.sprintf "trap %d vs trap %d" na nb)
-      else if norm_a aa <> norm_b ab then
+      else if not (same_value ~norm_a ~norm_b aa ab) then
         Error (D_value, Printf.sprintf "trap %d arg 0x%x vs 0x%x" na aa ab)
       else Ok ()
   | ( Emu.Ob_store { addr = adra; width = wa; value = va; _ },
@@ -255,7 +158,7 @@ let same_event ~norm_a ~norm_b (a : Emu.obs_event) (b : Emu.obs_event) :
         Error
           ( D_value,
             Printf.sprintf "store%d [0x%x] vs store%d [0x%x]" wa adra wb adrb )
-      else if norm_a va <> norm_b vb then
+      else if not (same_value ~norm_a ~norm_b va vb) then
         Error
           ( D_value,
             Printf.sprintf "store%d [0x%x]: value 0x%x vs 0x%x" wa adra va vb )
@@ -276,7 +179,9 @@ let same_event ~norm_a ~norm_b (a : Emu.obs_event) (b : Emu.obs_event) :
             Printf.sprintf "syscall %d: %s vs %s" na
               (if ea then "error" else "success")
               (if eb then "error" else "success") )
-      else if a0a <> a0b || norm_a a1a <> norm_b a1b || a2a <> a2b then
+      else if
+        a0a <> a0b || (not (same_value ~norm_a ~norm_b a1a a1b)) || a2a <> a2b
+      then
         Error
           ( D_value,
             Printf.sprintf "syscall %d args (0x%x,0x%x,0x%x) vs (0x%x,0x%x,0x%x)"
@@ -320,22 +225,11 @@ let reg_delta ~norm_a ~norm_b (a : run) (b : run) =
   let n = min (Array.length a.r_regs) (Array.length b.r_regs) in
   let out = ref [] in
   for i = n - 1 downto 0 do
-    if norm_a a.r_regs.(i) <> norm_b b.r_regs.(i) then
+    if not (same_value ~norm_a ~norm_b a.r_regs.(i) b.r_regs.(i)) then
       out := (i, a.r_regs.(i), b.r_regs.(i)) :: !out
   done;
   !out
 
-(** [compare_runs ?norm_a ?norm_b ?block_of ?suspect a b] — the lockstep
-    comparator. [a] is conventionally the original image's run, [b] the
-    edited one; [norm_a]/[norm_b] normalize observed values (the oracle
-    passes the inverse address map as [norm_b]); [block_of] maps an
-    original pc to a (routine, block id) anchor for the report.
-
-    [suspect] is the contract oracle's classifier: at the first mismatch,
-    an edited-side event it recognizes as instrumentation traffic (a store
-    to an address the original run never stores to) turns the verdict into
-    {!Contract_violation} — the edit leaked an undeclared side effect —
-    instead of a plain program-behaviour divergence. *)
 let compare_runs ?(norm_a = fun v -> v) ?(norm_b = fun v -> v)
     ?(block_of = fun _ -> None) ?(suspect = fun (_ : Emu.obs_event) -> false)
     (a : run) (b : run) : report =
@@ -425,8 +319,6 @@ let compare_runs ?(norm_a = fun v -> v) ?(norm_b = fun v -> v)
             finish (Diverged D_kind)
               (Some (mk_divergence D_kind (max 0 (n - 1)) "terminal mismatch"))
 
-(** {1 Metrics} *)
-
 let publish ?(prefix = "eel.diff") (rp : report) =
   let c name = Metrics.incr (Metrics.counter (prefix ^ "." ^ name)) in
   c "runs";
@@ -460,11 +352,6 @@ let fault_tag what =
   | Some i -> String.sub what 0 i
   | None -> what
 
-(** [coverage_signature rp] — the report compressed to a stable coverage
-    key for the mutation scheduler: the verdict, refined by the diverging
-    event's kind ([diverged:value-mismatch:store]) or, for both-fault, the
-    fault category ([both-fault:illegal]). Finer than {!verdict_name} so
-    rich mutation classes keep discovering new behaviour worth budget. *)
 let coverage_signature rp =
   match rp.rp_verdict with
   | Diverged cls ->
@@ -487,8 +374,6 @@ let coverage_signature rp =
       | _ -> "both-fault")
   | v -> verdict_name v
 
-(** {1 Image-level comparison and the round-trip oracle} *)
-
 (* Load both images into address spaces of identical size, so the initial
    stack pointers (and hence all stack traffic) coincide. *)
 let equalized_headroom a b =
@@ -496,10 +381,6 @@ let equalized_headroom a b =
   let top = max ha hb + Emu.default_headroom in
   (top - ha, top - hb)
 
-(** [compare_images ?fuel ?limit ?norm_b ?block_of a b] runs two arbitrary
-    images under the shared fuel budget and compares their observable
-    behaviour. Used directly by the fuzz driver (mutant vs. its own no-op
-    edited form) and by tests seeding known semantics-changing mutants. *)
 let compare_images ?fuel ?limit ?norm_b ?block_of (a : Sef.t) (b : Sef.t) :
     (report, Diag.error) result =
   Trace.with_span "diff.compare" @@ fun () ->
@@ -514,18 +395,6 @@ let compare_images ?fuel ?limit ?norm_b ?block_of (a : Sef.t) (b : Sef.t) :
           publish rp;
           Ok rp)
 
-(** [identity_roundtrip ?fuel ?limit ?diag ?budget ~mach exe] — the paper's
-    correctness claim, made executable. The executable is pushed through
-    the whole pipeline with {e no} edits accumulated: open (symbol-table
-    refinement), every routine's CFG built and the hidden-routine queue
-    drained, layout, post-edit invariant verification ({!Eel.Edit.verify},
-    automatic — violations surface as [Error (Invariant_error _)], never as
-    exceptions), image emission. Then original and edited images run under
-    the same fuel budget and must be event-equivalent.
-
-    [Ok report] describes the comparison; [Error e] means some front-end
-    stage refused the input with a structured diagnostic — the oracle
-    degrades exactly like the rest of the never-crash front end. *)
 let identity_roundtrip ?fuel ?limit ?diag ?budget ~mach (exe : Sef.t) :
     (report, Diag.error) result =
   Trace.with_span "diff.oracle" @@ fun () ->
@@ -566,50 +435,16 @@ let identity_roundtrip ?fuel ?limit ?diag ?budget ~mach (exe : Sef.t) :
               publish rp;
               Ok rp))
 
-(** {1 The contract oracle: verifying real edits}
-
-    {!identity_roundtrip} certifies the no-op edit; {!verify_edit} certifies
-    a {e real} one. The tool supplies its {!Contract} alongside the edited
-    image; the oracle then:
-
-    + runs the original with ground-truth profiling on;
-    + runs the edited image with the contract installed as the emulator's
-      record-time event filter, so declared instrumentation traffic
-      (counter stores, trace-buffer appends, red-zone spills) never enters
-      the log — what remains must match the original event-for-event;
-    + normalizes the original's store addresses under the contract's
-      [addr_norm] (SFI's clamp) and the edited side's values under the
-      inverse address map, exactly like the identity oracle;
-    + classifies any mismatching edited-side store to an address the
-      original run never touched as a {!Contract_violation} — the edit
-      leaked an undeclared side effect — rather than a program divergence;
-    + on equivalence, runs the contract's post-run checks (qpt2's counter
-      words vs the profile's ground truth), demoting a broken promise to
-      {!Contract_violation} as well.
-
-    Results are published under [eel.equiv.*]. *)
-
-(** A {!report} plus how much edited-run traffic the contract masked —
-    "equivalent" always comes with "and this much was masked to get there". *)
 type edit_report = {
   er_report : report;
-  er_masked : int;  (** edited-run events filtered under the contract *)
-  er_masked_stores : int;  (** masked events that were stores *)
-  er_masked_traps : int;  (** masked events that were traps *)
+  er_masked : int;
+  er_masked_stores : int;
+  er_masked_traps : int;
   er_masked_sys : int;
-      (** masked syscall events: the edited run's filtered denials plus
-          the original-side calls dropped under a declared suppression *)
   er_profile_orig : Emu.profile option;
-      (** the original run's ground-truth profile (always collected) *)
   er_profile_edit : Emu.profile option;
-      (** the edited run's profile, when [~profiles:true]; the overhead
-          ledger diffs the two *)
 }
 
-(** [os] runs both sides under the OS layer with that world spec; [os_b]
-    overrides the {e edited} side's spec (SFI interposition verifies the
-    edited image under a deny policy while the original runs unrestricted,
-    with the suppression contract-declared). *)
 let verify_edit ?fuel ?limit ?(norm_b = fun v -> v) ?block_of ?pokes_b
     ?(profiles = false) ?os ?os_b ~(contract : Contract.t) (orig : Sef.t)
     (edited : Sef.t) : (edit_report, Diag.error) result =
@@ -736,8 +571,6 @@ let verify_edit ?fuel ?limit ?(norm_b = fun v -> v) ?block_of ?pokes_b
               er_profile_edit = rb.r_profile;
             })
 
-(** {1 Rendering} *)
-
 let pp_divergence fmt dv =
   Format.fprintf fmt "%s at event %d, pc 0x%x" (dclass_name dv.dv_class)
     dv.dv_index dv.dv_pc;
@@ -784,9 +617,6 @@ let divergence_to_json dv =
     {|{"class":"%s","index":%d,"pc":%d,"block":%s,"what":"%s"}|}
     (dclass_name dv.dv_class) dv.dv_index dv.dv_pc block (esc dv.dv_what)
 
-(** [report_to_json ?masked rp] — one report as a JSON object (verdict,
-    per-side event/instruction totals, stops, masked-event count, and the
-    first divergence when there is one). *)
 let report_to_json ?(masked = 0) rp =
   let ea, eb = rp.rp_events and ia, ib = rp.rp_insns in
   let sa, sb = rp.rp_stops in

@@ -1,28 +1,3 @@
-(** A SPARC V8 (integer subset) emulator.
-
-    The paper ran original and edited executables on real SPARC hardware;
-    this emulator is the repository's stand-in (see DESIGN.md). It implements
-    the pc/npc delayed-control-transfer model exactly — including annulled
-    delay slots — so that EEL's delay-slot CFG normalization and delay-slot
-    refolding are tested against real architectural behaviour, not a
-    simplification.
-
-    Besides executing programs, the emulator serves as {e ground truth} for
-    every editing experiment: it counts dynamic instructions (the basis of
-    the Active Memory slowdown experiment E6), records memory events and
-    per-pc execution counts (validating qpt2's edge profiles), and checks
-    that edited executables produce byte-identical observable output.
-
-    System-call convention: [ta n] with arguments in %o0–%o2 and result in
-    %o0 (the trap number selects the call, statically visible to EEL):
-
-    - [ta 1] — exit; %o0 is the exit code
-    - [ta 2] — putint: print %o0 as signed decimal plus newline
-    - [ta 3] — putchar: print the byte in %o0
-    - [ta 4] — write: print %o1 bytes starting at address %o0
-    - [ta 5] — brk: set the heap break to %o0; returns it in %o0
-    - [ta 7] — cycles: return the dynamic instruction count in %o0 *)
-
 open Eel_sparc
 module W = Eel_util.Word
 
@@ -35,46 +10,22 @@ type event =
   | Ev_load of { pc : int; addr : int; width : int }
   | Ev_store of { pc : int; addr : int; width : int }
 
-(** {1 Observable events}
-
-    The differential oracle (lib/diffexec) compares two executions by their
-    {e observable} behaviour, not their instruction streams: system calls
-    with their arguments, stores with address and value, and how the run
-    ended. Every way a run can end — [ta 1] exit, a machine {!Fault}, fuel
-    exhaustion — flows through the same constructor set, so an event log
-    always terminates in exactly one of {!Ob_exit}, {!Ob_fault} or
-    {!Ob_fuel} and a comparator never has to reconcile events against
-    out-of-band exceptions.
-
-    The [pc] carried by each event is the address the {e emitting} image
-    executed at; original and edited images run the same program at
-    different addresses, so comparators must treat [pc] as reporting
-    metadata, not as part of the observable payload. *)
-
 type obs_event =
   | Ob_trap of { pc : int; num : int; arg : int }
-      (** a [ta n] system call; [arg] is %o0 at trap time *)
   | Ob_store of { pc : int; addr : int; width : int; value : int }
-      (** for [std], [value] is the even register of the pair *)
   | Ob_syscall of {
       pc : int;
-      num : int;  (** OS syscall number (already decoded from the immediate) *)
-      a0 : int;  (** %o0 at trap time — fd / path address / exit code *)
+      num : int;
+      a0 : int;
       a1 : int;
       a2 : int;
-      ret : int;  (** %o0 after the call: result, or errno when [err] *)
-      err : bool;  (** the carry flag the call left behind *)
+      ret : int;
+      err : bool;
       data : int;
-          (** checksum of the bytes actually transferred (reads/writes), 0
-              otherwise — catches a same-length-different-bytes divergence
-              without logging payloads *)
     }
-      (** an OS-layer system call dispatched by an installed trap handler
-          (see {!set_trap_handler}); the full call/return pair as one
-          event, so the differential oracle compares syscall {e streams} *)
-  | Ob_exit of { pc : int; code : int }  (** [ta 1] *)
-  | Ob_fault of { pc : int; what : string }  (** machine fault (see {!Fault}) *)
-  | Ob_fuel of { pc : int }  (** the fuel budget ran out at [pc] *)
+  | Ob_exit of { pc : int; code : int }
+  | Ob_fault of { pc : int; what : string }
+  | Ob_fuel of { pc : int }
 
 let obs_pc = function
   | Ob_trap { pc; _ }
@@ -99,11 +50,6 @@ let pp_obs fmt = function
   | Ob_fault { pc; what } -> Format.fprintf fmt "fault at 0x%x: %s" pc what
   | Ob_fuel { pc } -> Format.fprintf fmt "out of fuel at 0x%x" pc
 
-(** A bounded observable-event log. The first [limit] events are retained
-    verbatim; later ones are counted but dropped, so a hostile or
-    store-heavy program cannot drive the oracle into unbounded allocation.
-    [obs_total > List.length (obs_events l)] tells a comparator the log was
-    truncated (comparisons on a truncated log are prefix comparisons). *)
 type obs_log = {
   ol_limit : int;
   ol_events : obs_event Eel_util.Dyn.t;
@@ -136,38 +82,21 @@ let obs_record l ev =
   if Eel_util.Dyn.length l.ol_events < l.ol_limit then
     Eel_util.Dyn.push l.ol_events ev
 
-(** Retained events, in execution order. *)
 let obs_events l = Eel_util.Dyn.to_list l.ol_events
 
 let obs_events_array l = Eel_util.Dyn.to_array l.ol_events
 
-(** Total events observed, including any dropped past the bound. *)
 let obs_total l = l.ol_total
 
 let obs_truncated l = l.ol_total > Eel_util.Dyn.length l.ol_events
 
-(** Events an installed filter suppressed (0 when no filter ran). *)
 let obs_filtered l = l.ol_filtered
 
-(** Breakdown of {!obs_filtered} by event kind — the overhead ledger's
-    "extra stores" / "extra traps" columns read these directly. *)
 let obs_filtered_stores l = l.ol_filtered_stores
 
 let obs_filtered_traps l = l.ol_filtered_traps
 
 let obs_filtered_syscalls l = l.ol_filtered_syscalls
-
-(** {1 Execution profiling}
-
-    The emulator is the ground truth for every editing experiment; a
-    {!profile} captures that ground truth as data a tool's own measurements
-    can be validated against (ISSUE 2): per-basic-block execution counts
-    (qpt2's edge profiles must be consistent with them), the dynamic
-    instruction-class mix, fuel consumed, and memory-operation counts.
-
-    A {e block entry} is an instruction reached non-sequentially — the
-    target of a taken control transfer, or the first instruction executed.
-    Those addresses are exactly the leaders of the dynamic basic blocks. *)
 
 let iclass_names =
   [| "alu"; "branch"; "call"; "jump"; "load"; "store"; "sethi"; "trap"; "other" |]
@@ -182,11 +111,7 @@ let iclass_of = function
   | Insn.Ticc _ -> 7
   | Insn.Invalid _ | Insn.Unimp _ | Insn.Rdy _ | Insn.Wry _ -> 8
 
-(** One node of the calling-context tree: a routine entry address reached
-    by a call, with the dynamic instructions (and class mix) attributed to
-    that context and the contexts called from it. *)
 type cct = {
-  cc_entry : int;  (** arrival pc of the call target; -1 at the root *)
   mutable cc_self : int;
   cc_classes : int array;  (** indexed like {!iclass_names} *)
   cc_children : (int, cct) Hashtbl.t;  (** callee entry pc -> context *)
@@ -195,33 +120,30 @@ type cct = {
 type cframe = { cf_node : cct; cf_ret : int (* expected return address *) }
 
 type profile = {
-  mutable p_insns : int;  (** fuel consumed (dynamic instructions) *)
-  mutable p_block_entries : int;  (** non-sequential arrivals *)
-  p_block_counts : (int, int) Hashtbl.t;  (** block-leader pc -> entries *)
-  p_pc_counts : (int, int) Hashtbl.t;  (** pc -> execution count *)
-  p_class_counts : int array;  (** indexed like {!iclass_names} *)
+  mutable p_insns : int;
+  mutable p_block_entries : int;
+  p_block_counts : (int, int) Hashtbl.t;
+  p_pc_counts : (int, int) Hashtbl.t;
+  p_class_counts : int array;
   mutable p_last_pc : int;
-  p_root : cct;  (** calling-context tree root (the entry routine) *)
-  mutable p_cur : cct;  (** context currently executing *)
-  mutable p_stack : cframe list;  (** shadow call stack (callers of cur) *)
+  p_root : cct;
+  mutable p_cur : cct;
+  mutable p_stack : cframe list;
   mutable p_depth : int;
   mutable p_pending_call : int;
-      (** return address of a just-executed call, [min_int] when none; the
-          next block entry within the DCTI window is its callee *)
   mutable p_pending_ret : bool;
-  mutable p_pending_at : int;  (** [p_insns] when the pending flag was set *)
+  mutable p_pending_at : int;
 }
 
-let new_cct entry =
+let new_cct () =
   {
-    cc_entry = entry;
     cc_self = 0;
     cc_classes = Array.make (Array.length iclass_names) 0;
     cc_children = Hashtbl.create 4;
   }
 
 let create_profile () =
-  let root = new_cct (-1) in
+  let root = new_cct () in
   {
     p_insns = 0;
     p_block_entries = 0;
@@ -266,7 +188,7 @@ let profile_step p ~pc insn =
           match Hashtbl.find_opt p.p_cur.cc_children pc with
           | Some c -> c
           | None ->
-              let c = new_cct pc in
+              let c = new_cct () in
               Hashtbl.add p.p_cur.cc_children pc c;
               c
         in
@@ -318,39 +240,19 @@ let profile_step p ~pc insn =
       end
   | _ -> ()
 
-(** Times the block led by [pc] was entered via a control transfer (or
-    program start); 0 for addresses only ever reached by fall-through. *)
 let block_count p pc = Option.value ~default:0 (Hashtbl.find_opt p.p_block_counts pc)
 
-(** Times the instruction at [pc] was executed. *)
 let pc_count p pc = Option.value ~default:0 (Hashtbl.find_opt p.p_pc_counts pc)
 
 let distinct_blocks p = Hashtbl.length p.p_block_counts
 
-(** Dynamic memory-instruction count (loads + stores). *)
 let mem_ops p = p.p_class_counts.(4) + p.p_class_counts.(5)
 
-(** Dynamic store-instruction count. Each store instruction emits exactly
-    one observable event, so under an equivalent verdict the edited run's
-    store surplus must equal the contract's masked-store count — the
-    ledger's zero-unexplained cross-check. *)
 let store_ops p = p.p_class_counts.(5)
 
-let load_ops p = p.p_class_counts.(4)
-
-(** Dynamic instruction mix as [(class, count)] in {!iclass_names} order. *)
 let class_mix p =
   Array.to_list (Array.mapi (fun i n -> (iclass_names.(i), n)) p.p_class_counts)
 
-(** The calling-context tree recorded by {!profile_step}: root is the entry
-    routine; children are keyed by callee entry pc. *)
-let profile_cct p = p.p_root
-
-(** [profile_hotspot ?name_of ?root ?prefix p] converts the calling-context
-    tree into a named {!Eel_obs.Hotspot.t}: [name_of] renders a context's
-    entry pc (default hex), [root] names the entry routine, and [prefix]
-    frames (e.g. the program name) wrap the whole tree so many programs can
-    merge into one flamegraph. *)
 let profile_hotspot ?name_of ?(root = "<entry>") ?(prefix = []) p =
   let name_of =
     match name_of with Some f -> f | None -> Printf.sprintf "0x%x"
@@ -368,10 +270,6 @@ let profile_hotspot ?name_of ?(root = "<entry>") ?(prefix = []) p =
   walk (root :: List.rev prefix) p.p_root;
   h
 
-(** [publish_profile p] surfaces the profile in the {!Eel_obs.Metrics}
-    registry under [<prefix>.*] so traces, tools and the benchmark harness
-    read emulator ground truth from the same namespace as every other
-    metric. *)
 let publish_profile ?(prefix = "emu") p =
   let g name v =
     Eel_obs.Metrics.set
@@ -386,7 +284,7 @@ let publish_profile ?(prefix = "emu") p =
 
 type t = {
   mem : Bytes.t;
-  regs : int array;  (** 34 entries: 32 GPRs + icc + y *)
+  regs : int array;
   mutable pc : int;
   mutable npc : int;
   mutable exited : int option;
@@ -396,72 +294,24 @@ type t = {
   mutable brk : int;
   output : Buffer.t;
   mutable hook : (event -> unit) option;
-  mutable obs : obs_log option;  (** observable-event sink; [None] = free *)
+  mutable obs : obs_log option;
   mutable obs_filter : (obs_event -> bool) option;
-      (** when installed, an event is recorded only if the filter returns
-          [true]; rejected events are tallied in the log's filtered count.
-          The equivalence oracle uses this to drop an edit contract's
-          declared side effects at record time (spill traffic below the
-          stack pointer can only be recognized while [sp] is live). *)
   mutable profile : profile option;
   segs : seg array;
-      (** the predecoded text, one segment per run of text sections (see
-          {!load}), sorted by address and disjoint; [[||]] when
-          predecoding is off or no section has clean geometry *)
   text_lo : int;
   text_hi : int;
-      (** the address hull of [segs] ([0, 0) when empty): a one-compare
-          pre-filter that keeps stores outside it off the segment search *)
   mutable code : Insn.t array;
-      (** the {e current} segment's instructions, indexed by
-          [(pc - code_lo) / 4]: {!fetch_insn}'s hot path is one range
-          check against it, and a fetch outside it switches to the segment
-          holding the pc (or decodes per step in no segment). [[||]] when
-          [segs] is empty. Kept coherent with [mem] by {!store_mem}: any
-          store landing in a segment re-decodes its word, so
-          self-modifying code behaves exactly as the decode-per-step
-          path. *)
-  mutable code_lo : int;  (** base address of [code] *)
+  mutable code_lo : int;
   mutable pokes : poke list;
-      (** pending environment faults, sorted by [pk_at]; see {!set_pokes} *)
   mutable alt_run : (int -> unit) option;
-      (** alternate execution engine (the tier-2 block compiler installs
-          itself here; see lib/emu/tier2.ml). {!run} dispatches to it with
-          the fuel budget {e only} when no per-instruction hook, no
-          profile and no poke plan is armed — those demand the
-          interpreter's per-step visibility, so an armed one silently
-          forces tier-1. The engine must leave [pc]/[npc]/[ninsns]
-          materialized whenever it raises or returns, and must raise
-          {!Fault} / {!Out_of_fuel} exactly as the interpreter would. *)
   mutable on_invalidate : (int -> unit) option;
-      (** notified with the word-aligned address every time a store or
-          poke lands in a predecoded segment ({!invalidate_code});
-          the tier-2 code cache drops compiled blocks covering it. *)
   mutable trap_handler : (t -> int -> bool) option;
-      (** optional OS layer (lib/os): consulted before the builtin [ta n]
-          dispatch with the {e raw} trap number; returning [true] means the
-          trap was handled (registers/memory/exit already updated and any
-          {!Ob_syscall} event emitted), [false] falls through to the
-          builtin convention. See {!set_trap_handler}. *)
 }
 
-(** A deterministic environment fault: when the machine has executed
-    [pk_at] instructions, the 32-bit word at [pk_addr] is overwritten with
-    [pk_value] — before the next instruction runs. Pokes model corruption
-    arriving from {e outside} the program (the fault-injection campaign's
-    image bit-flips and counter-skew attacks), so they are applied directly
-    to memory: no observable event is recorded, no store count ticks. The
-    predecoded code array {e is} kept coherent (a poke into text must
-    change what executes, exactly like a program store would). A poke whose
-    address is out of range or misaligned is dropped silently — a fault
-    plan can never crash the machine. *)
 and poke = { pk_at : int; pk_addr : int; pk_value : int }
 
-(** A predecoded segment: [sg_code.(i)] decodes the word at
-    [sg_lo + 4 * i]. *)
 and seg = { sg_lo : int; sg_code : Insn.t array }
 
-(** Default extra space above the loaded image: heap + stack. *)
 let default_headroom = 8 * 1024 * 1024
 
 let stack_size = 1024 * 1024
@@ -509,17 +359,6 @@ let rec seg_from segs addr i =
 
 let seg_index t addr = seg_from t.segs addr 0
 
-(** [load ?headroom ?predecode exe] builds a machine state with [exe]'s
-    sections copied into a flat memory image, the stack pointer at the top
-    of memory, and pc at the entry point. Raises {!Fault} when the image
-    cannot be built: sections with negative geometry, contents shorter than
-    the declared size, or an address space larger than {!max_image_bytes}.
-
-    With [predecode] (the default) each text section is decoded once into
-    an instruction array (a {e segment}) so {!step} never calls
-    [Insn.decode] on the hot path; [~predecode:false] keeps the
-    decode-per-step behaviour (the benchmark harness measures one against
-    the other). *)
 let load ?(headroom = default_headroom) ?(predecode = true)
     (exe : Eel_sef.Sef.t) =
   let high = Eel_sef.Sef.high_addr exe in
@@ -593,30 +432,18 @@ let load ?(headroom = default_headroom) ?(predecode = true)
     trap_handler = None;
   }
 
-(** Words predecoded by {!load}, summed over all segments (0 when
-    predecoding is off). *)
 let predecoded_words t =
   Array.fold_left (fun n s -> n + Array.length s.sg_code) 0 t.segs
 
-(** [publish_machine t] surfaces the loaded machine's size in the
-    {!Eel_obs.Metrics} registry: [emu.predecode.words] ({!predecoded_words})
-    and [emu.mem.bytes] (the flat address space). *)
 let publish_machine t =
   let g name v = Eel_obs.Metrics.set (Eel_obs.Metrics.gauge name) (float_of_int v) in
   g "emu.predecode.words" (predecoded_words t);
   g "emu.mem.bytes" (Bytes.length t.mem)
 
-(** [set_obs t log] installs (or, with [None], removes) the observable-event
-    sink. With no sink installed the interpreter loop performs a single
-    [match] per potential event and allocates nothing. *)
 let set_obs t log = t.obs <- log
 
-(** [set_obs_filter t f] installs (or removes) the record-time event filter;
-    it only matters while an observable-event sink is installed. *)
 let set_obs_filter t f = t.obs_filter <- f
 
-(** [set_profile t p] installs (or removes) a ground-truth profile sink,
-    like {!run_exe}'s [?profile] but usable on an already-loaded machine. *)
 let set_profile t p = t.profile <- p
 
 let obs_of t = t.obs
@@ -687,9 +514,6 @@ let store_mem t addr width v =
   | _ -> assert false);
   invalidate_code t addr
 
-(** [set_pokes t ps] installs a fault plan (see {!poke}); the plan is
-    consumed as {!run} reaches each poke's instruction count. Replaces any
-    pending plan. *)
 let set_pokes t ps =
   t.pokes <- List.stable_sort (fun a b -> compare a.pk_at b.pk_at) ps
 
@@ -707,8 +531,6 @@ let rec apply_pokes t =
         invalidate_code t pk_addr);
       apply_pokes t
   | _ -> ()
-
-(** {1 Condition codes} *)
 
 let icc_logic r =
   (if W.mask r land 0x8000_0000 <> 0 then 8 else 0) lor if W.mask r = 0 then 4 else 0
@@ -728,8 +550,6 @@ let icc_sub a b r =
   let v = if (a lxor b) land (a lxor r) land 0x8000_0000 <> 0 then 2 else 0 in
   let c = if a < b then 1 else 0 in
   n lor z lor v lor c
-
-(** {1 System calls} *)
 
 let builtin_syscall t num =
   (* trap and exit flow through the same observable-event constructor set
@@ -767,11 +587,7 @@ let syscall t num =
   | Some h when h t num -> ()
   | _ -> builtin_syscall t num
 
-(** [set_trap_handler t h] installs (or, with [None], removes) an OS-layer
-    trap handler (see {!type:t}'s [trap_handler]). *)
 let set_trap_handler t h = t.trap_handler <- h
-
-(** {1 Execution} *)
 
 (* [fetch_insn]'s miss path: make the segment holding [pc] current, or
    decode per step when no segment holds it (predecoding off, or a pc in
@@ -973,11 +789,6 @@ type result = {
   out : string;
 }
 
-(** [run ?fuel t] executes until exit. Raises {!Fault} on machine faults and
-    {!Out_of_fuel} after [fuel] instructions (default 200M). When an
-    observable-event sink is installed, faults and fuel exhaustion are
-    recorded in the log (as {!Ob_fault} / {!Ob_fuel}) before the exception
-    propagates, so the log always carries the run's terminal event. *)
 let run ?(fuel = 200_000_000) t =
   try
     (* dispatch once: the per-step hook/profile matches are paid only by
@@ -1026,24 +837,14 @@ let run ?(fuel = 200_000_000) t =
       | Some l -> obs_record l (Ob_fuel { pc = t.pc }));
       raise e
 
-(** {1 Inquiry accessors (for the differential oracle)} *)
-
 let output t = Buffer.contents t.output
 
 let insns_executed t = t.ninsns
 
-(** Current stack pointer — live machine state, for record-time filters
-    that must recognize red-zone (below-sp) spill traffic. *)
 let sp t = t.regs.(Regs.sp)
 
-(** A copy of the register file (32 GPRs followed by icc and y). *)
 let registers t = Array.copy t.regs
 
-(** [run_exe ?fuel ?hook ?profile ?predecode exe] loads and runs an
-    executable. [profile] collects ground-truth execution statistics (see
-    {!profile}); when absent the per-instruction profiling cost is a single
-    match. [~predecode:false] disables the predecoded fast path (see
-    {!load}). *)
 let run_exe ?fuel ?hook ?profile ?predecode exe =
   let t = Eel_obs.Trace.with_span "emu.load" (fun () -> load ?predecode exe) in
   t.hook <- hook;

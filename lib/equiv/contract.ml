@@ -1,47 +1,7 @@
-(** Edit contracts — a tool's declaration of its observable side effects.
-
-    EEL's headline claim is that a tool's edits preserve program behaviour
-    {e modulo the tool's own declared effects}: qpt2 stores to its counter
-    words, the tracer appends to its trace buffer, SFI clamps store
-    addresses into the sandbox segment (paper §§5–7). The differential
-    oracle (lib/diffexec) can therefore only certify a {e real} edit if it
-    knows which observable events are the instrumentation talking and which
-    are the program's own. A {!t} is that knowledge, stated by the tool
-    that made the edit:
-
-    - {e regions}: added-data address ranges the instrumentation stores to
-      (counter words, trace buffers, state tables). A store into a declared
-      region is the tool's, and is filtered from the edited run's event log
-      at record time.
-    - {e red zone}: snippets that could not scavenge enough registers spill
-      below the stack pointer (see {!Eel.Snippet}); a store within
-      [red_zone] bytes {e below the live sp} is instrumentation bookkeeping.
-      Only the emulator knows sp at store time, so this part of the mask is
-      applied by the record-time filter, never post-hoc.
-    - {e traps}: extra system-call numbers the instrumentation issues (a
-      tracing edit that emits [ta] trace traps declares them here).
-    - {e addr_norm}: a transfer function the edit applies to {e every}
-      program store address (SFI's clamp). The oracle applies it to the
-      {e original} run's store addresses so both sides land in the image
-      the edited program actually produces.
-    - {e checks}: promises about the instrumentation's own output, verified
-      after an equivalent run against emulator ground truth (qpt2's counter
-      words must equal the profile's execution counts).
-
-    The contract deliberately has no opinion about {e values} stored by the
-    program, exit codes, or program output: those are the oracle's job.
-    Everything the contract masks is accounted for (the emulator counts
-    filtered events), so "equivalent" always comes with "and this much
-    traffic was masked under the contract". *)
-
 module Emu = Eel_emu.Emu
 
-(** A half-open address range [\[rg_lo, rg_hi)] the instrumentation owns. *)
 type region = { rg_name : string; rg_lo : int; rg_hi : int }
 
-(** A post-run promise about the instrumentation's own output: given the
-    {e original} run's ground-truth profile and the {e edited} run's final
-    memory, decide whether the instrumentation told the truth. *)
 type check = {
   ck_name : string;
   ck_run : profile:Emu.profile -> mem:Bytes.t -> (unit, string) result;
@@ -51,26 +11,11 @@ type t = {
   ct_tool : string;
   ct_regions : region list;
   ct_red_zone : int;
-      (** bytes below the live stack pointer masked in the edited run
-          (snippet spill slots); 0 = the edit never spills *)
-  ct_traps : int list;  (** extra trap numbers the instrumentation issues *)
+  ct_traps : int list;
   ct_addr_norm : (int -> int) option;
-      (** applied to original-side store addresses before comparison *)
   ct_sys_extra : int list;
-      (** extra OS {e syscall} numbers the instrumentation issues (masked
-          from the edited run's log at record time, like [ct_traps]) *)
   ct_sys_suppress : (int -> int -> bool) option;
-      (** declared syscall suppression, as a [(num, a0)] predicate: the
-          edit interposes on matching calls and denies them (SFI's policy
-          table). The oracle drops the matching {e error} returns from the
-          edited run at record time and the matching {e successful} calls
-          from the original run post-hoc, so both streams describe the
-          world the sandboxed program actually reaches. An undeclared
-          denial is a contract violation, not an allowed effect. *)
   ct_fd_norm : (int -> int -> int) option;
-      (** fd-space transform [(num, a0) -> a0'] applied to original-side
-          syscall fd arguments before comparison (an edit that renumbers
-          descriptors, the fd analog of [ct_addr_norm]) *)
   ct_checks : check list;
 }
 
@@ -90,8 +35,6 @@ let make ?(regions = []) ?(red_zone = 0) ?(traps = []) ?addr_norm
 
 let region ~name ~lo ~size = { rg_name = name; rg_lo = lo; rg_hi = lo + size }
 
-(** [span ~name addrs] — the smallest region covering every 4-byte word in
-    [addrs]; [None] when the list is empty (an edit that placed nothing). *)
 let span ~name = function
   | [] -> None
   | a :: rest ->
@@ -100,13 +43,8 @@ let span ~name = function
 
 let in_region r a = a >= r.rg_lo && a < r.rg_hi
 
-(** Does the contract declare a store to address [a]? (Regions only — the
-    red zone needs a live sp, see {!declared}.) *)
 let declares_store t a = List.exists (fun r -> in_region r a) t.ct_regions
 
-(** [declared t ~sp ev] — is [ev] the instrumentation's own traffic under
-    this contract, given the live stack pointer [sp]? This is the
-    record-time mask the oracle installs as the edited run's event filter. *)
 let declared t ~sp ev =
   match ev with
   | Emu.Ob_store { addr; _ } ->
@@ -126,21 +64,11 @@ let declared t ~sp ev =
 let suppresses t num a0 =
   match t.ct_sys_suppress with Some f -> f num a0 | None -> false
 
-(** [suppressed_orig t ev] — is [ev] an original-side event the declared
-    syscall suppression removes from the comparison? Any call the
-    interposition denies is dropped, whatever its original outcome: the
-    sandboxed world has no record of whether the call would have
-    succeeded or failed, only that it was refused. Applied post-hoc by
-    the oracle. *)
 let suppressed_orig t ev =
   match ev with
   | Emu.Ob_syscall { num; a0; _ } -> suppresses t num a0
   | _ -> false
 
-(** [normalize_orig t ev] — the original-side event as the edited program
-    would observe it: store addresses pushed through [addr_norm] (SFI's
-    clamp) and syscall fd arguments through [fd_norm]; everything else
-    unchanged. *)
 let normalize_orig t ev =
   match ev with
   | Emu.Ob_store { pc; addr; width; value } -> (
@@ -155,73 +83,26 @@ let normalize_orig t ev =
       | None -> ev)
   | _ -> ev
 
-(** [mask_events t evs] — post-hoc filtering of an event array under the
-    contract's {e static} mask (regions and traps; the red zone cannot be
-    recovered after the fact). For tests and offline log analysis; the
-    oracle itself filters at record time. *)
 let mask_events t evs =
   Array.of_list
     (List.filter
        (fun ev -> not (declared t ~sp:min_int ev))
        (Array.to_list evs))
 
-(** {1 Adversarial contract surgery}
-
-    The fault-injection campaign (lib/robust's [Fault]) needs to state
-    {e lies}: contracts that under-declare, over-declare or mis-declare a
-    tool's side effects, so the oracle can be shown to catch each kind of
-    lie. These transformers produce such contracts from an honest one; they
-    are pure (the original contract is untouched). *)
-
-(** Forget one declared region (by index into [ct_regions]) — the
-    "missing declaration" lie: the tool's stores there become undeclared
-    side effects the oracle must flag. Out-of-range indices are identity. *)
 let forget_region t i =
   {
     t with
     ct_regions = List.filteri (fun j _ -> j <> i) t.ct_regions;
   }
 
-(** Claim one extra region — the "over-declaration" lie: when the region
-    covers memory the {e program} writes, the oracle's masked edited run
-    goes silent where the original does not, and lockstep breaks. *)
 let claim_region t r = { t with ct_regions = r :: t.ct_regions }
 
-(** Claim an extra instrumentation trap number — masking a trap the
-    program itself issues. *)
 let claim_trap t n = { t with ct_traps = n :: t.ct_traps }
 
-(** Replace the declared store-address transform — the "phantom transform"
-    lie: the contract claims every program store address is rewritten by
-    [f], but the edit applies no such thing (or a different one), so the
-    normalized original stores and the edited run's raw stores no longer
-    meet. *)
 let claim_addr_norm t f = { t with ct_addr_norm = Some f }
 
-(** Claim an extra instrumentation {e syscall} number — masking an OS call
-    the program itself makes (the syscall-surface analog of
-    {!claim_trap}). *)
 let claim_sys t n = { t with ct_sys_extra = n :: t.ct_sys_extra }
 
-(** Claim a syscall suppression the edit never applies — the "phantom
-    interposition" lie: the oracle drops matching successful calls from
-    the original stream, but the edited run still makes them, so lockstep
-    breaks. *)
-let claim_sys_suppress t f = { t with ct_sys_suppress = Some f }
-
-(** Forget the declared suppression while the edit still interposes — the
-    "undeclared deny" lie: the edited run's denials surface as undeclared
-    error returns and the original's suppressed calls go unmatched. *)
-let forget_sys_suppress t = { t with ct_sys_suppress = None }
-
-(** Drop every post-run promise — the "broken promise" direction is
-    exercised the other way around (keep the checks, skew the output), but
-    the campaign also needs promise-free variants for isolating event-level
-    verdicts. *)
-let forget_checks t = { t with ct_checks = [] }
-
-(** [run_checks t ~profile ~mem] runs every post-run check; the result is
-    the first failure, tagged with its check's name. *)
 let run_checks t ~profile ~mem =
   List.fold_left
     (fun acc ck ->
@@ -233,17 +114,3 @@ let run_checks t ~profile ~mem =
           | Error msg -> Error (Printf.sprintf "check %s: %s" ck.ck_name msg)))
     (Ok ()) t.ct_checks
 
-let pp_region fmt r =
-  Format.fprintf fmt "%s [0x%x, 0x%x)" r.rg_name r.rg_lo r.rg_hi
-
-let pp fmt t =
-  Format.fprintf fmt "contract %s:" t.ct_tool;
-  List.iter (fun r -> Format.fprintf fmt " %a;" pp_region r) t.ct_regions;
-  if t.ct_red_zone > 0 then
-    Format.fprintf fmt " red-zone %d;" t.ct_red_zone;
-  List.iter (fun n -> Format.fprintf fmt " trap %d;" n) t.ct_traps;
-  if t.ct_addr_norm <> None then Format.fprintf fmt " addr-norm;";
-  List.iter (fun n -> Format.fprintf fmt " sys %d;" n) t.ct_sys_extra;
-  if t.ct_sys_suppress <> None then Format.fprintf fmt " sys-suppress;";
-  if t.ct_fd_norm <> None then Format.fprintf fmt " fd-norm;";
-  List.iter (fun c -> Format.fprintf fmt " check %s;" c.ck_name) t.ct_checks

@@ -43,14 +43,6 @@ let names =
 
 let name num = List.assoc_opt num names
 
-let errno_name = function
-  | 1 -> "EPERM"
-  | 2 -> "ENOENT"
-  | 9 -> "EBADF"
-  | 22 -> "EINVAL"
-  | 24 -> "EMFILE"
-  | n -> Printf.sprintf "E%d" n
-
 (** Is this raw [ta] immediate inside the OS window? *)
 let in_window imm = imm >= trap_base && imm < trap_limit
 
@@ -67,7 +59,6 @@ let name_of_trap_imm imm = Option.bind (num_of_trap_imm imm) name
 let trap_imm num = trap_base + num
 
 (* open(2) modes *)
-let o_rdonly = 0
 let o_wronly = 1
 
 (** Highest fd the table holds (0..max_fd); opens past it fail [EMFILE]. *)

@@ -1,41 +1,11 @@
-(** Structured diagnostics and the unified front-end error hierarchy.
-
-    EEL's core claim (paper §3.1) is that it survives hostile inputs:
-    stripped executables, "incomplete or misleading" symbol tables, data
-    tables embedded in the text segment. Surviving means two things for an
-    API: recoverable problems become {e diagnostics} attached to the
-    operation that observed them, and unrecoverable problems become {e typed
-    error values}, never bare [Failure] strings or escaped [Invalid_argument]
-    exceptions from innocent-looking [Bytes] primitives.
-
-    This module provides both halves:
-
-    - {!sink}: a per-load diagnostics channel (severity × source location ×
-      message) with an optional {e strict} mode that promotes warnings to
-      errors, so a tool can choose between "load whatever can be salvaged"
-      and "refuse anything suspicious";
-    - {!error}: the single sum type under which every front-end failure —
-      SEF parsing, executable analysis, instruction decoding, editing,
-      invariant verification, resource exhaustion — is reported, and the
-      single {!Error} exception used by the exception-shim entry points.
-
-    The {!budget} type bounds the work an analysis may perform, mirroring
-    [Emu.Out_of_fuel]: a hostile input must not be able to drive the front
-    end into effective non-termination. *)
-
-(** {1 Severities and source locations} *)
-
 type severity = Note | Warn | Err
 
 let severity_name = function Note -> "note" | Warn -> "warning" | Err -> "error"
 
-(** Where in the input a problem was observed. For binary front ends a
-    "source location" is a file (when known), a byte offset into the
-    container, and/or a virtual address inside the image. *)
 type loc = {
   l_file : string option;
-  l_offset : int option;  (** byte offset into the serialized container *)
-  l_addr : int option;  (** virtual address inside the loaded image *)
+  l_offset : int option;
+  l_addr : int option;
 }
 
 let no_loc = { l_file = None; l_offset = None; l_addr = None }
@@ -60,26 +30,13 @@ let pp_loc fmt l =
   | [] -> Format.fprintf fmt "<input>"
   | ps -> Format.fprintf fmt "%s" (String.concat ", " ps)
 
-(** {1 The unified error hierarchy}
-
-    One sum covers the whole load→CFG→edit pipeline, so callers match on a
-    single type no matter which layer failed. *)
-
 type error =
   | Sef_error of { what : string; loc : loc }
-      (** malformed SEF container: bad magic, truncation, inconsistent
-          section metadata *)
   | Exe_error of { what : string }
-      (** executable-level analysis failure: no text section, malformed
-          routine structure *)
   | Decode_error of { addr : int; word : int; what : string }
-      (** an instruction word that analysis cannot proceed past *)
-  | Edit_error of { what : string }  (** edit accumulation or layout failure *)
+  | Edit_error of { what : string }
   | Invariant_error of { what : string }
-      (** the post-edit verifier rejected an edited image *)
   | Budget_error of { stage : string; limit : int }
-      (** a work budget was exhausted: the input demanded more decode/CFG
-          work than the caller allowed (anti-non-termination guard) *)
 
 let error_message = function
   | Sef_error { what; loc } ->
@@ -92,11 +49,6 @@ let error_message = function
   | Budget_error { stage; limit } ->
       Printf.sprintf "budget: %s exhausted its work budget of %d" stage limit
 
-let pp_error fmt e = Format.fprintf fmt "%s" (error_message e)
-
-(** The error's layer, as a short stable tag ("sef", "exe", "decode",
-    "edit", "invariant", "budget") — the coverage signature the
-    coverage-guided mutation scheduler and the fuzz outcome tables key on. *)
 let error_kind = function
   | Sef_error _ -> "sef"
   | Exe_error _ -> "exe"
@@ -105,9 +57,6 @@ let error_kind = function
   | Invariant_error _ -> "invariant"
   | Budget_error _ -> "budget"
 
-(** The one exception the exception-shim entry points raise. Code that wants
-    values uses the [Result]-returning APIs ([Sef.load],
-    [Executable.open_exe]) or {!guard}. *)
 exception Error of error
 
 let () =
@@ -122,19 +71,11 @@ let sef_error ?(loc = no_loc) fmt =
 
 let exe_error fmt = Printf.ksprintf (fun what -> fail (Exe_error { what })) fmt
 
-let decode_error ~addr ~word fmt =
-  Printf.ksprintf (fun what -> fail (Decode_error { addr; word; what })) fmt
-
 let edit_error fmt = Printf.ksprintf (fun what -> fail (Edit_error { what })) fmt
 
 let invariant_error fmt =
   Printf.ksprintf (fun what -> fail (Invariant_error { what })) fmt
 
-(** [guard f] turns the exception-shim convention back into a value:
-    {!Error} and the legacy truncation exception from {!Eel_util.Bytebuf}
-    become [Result.Error]; every other exception propagates (an exception
-    other than these escaping the front end is a bug, and the fuzz driver
-    treats it as one). *)
 let guard f =
   try Ok (f ()) with
   | Error e -> Result.Error e
@@ -148,35 +89,16 @@ let guard f =
              loc = at_offset offset;
            })
 
-(** {1 Diagnostics sinks} *)
-
-type diagnostic = {
-  d_sev : severity;
-  d_source : string;  (** component that observed the problem, e.g. "sef" *)
-  d_loc : loc;
-  d_msg : string;
-}
-
-let pp_diagnostic fmt d =
-  Format.fprintf fmt "%s: %s: %s (%a)" (severity_name d.d_sev) d.d_source d.d_msg
-    pp_loc d.d_loc
-
 type sink = {
   strict : bool;  (** promote warnings to errors *)
-  mutable items : diagnostic list;  (** newest first *)
   mutable n_notes : int;
   mutable n_warnings : int;
   mutable n_errors : int;
 }
 
 let create ?(strict = false) () =
-  { strict; items = []; n_notes = 0; n_warnings = 0; n_errors = 0 }
+  { strict; n_notes = 0; n_warnings = 0; n_errors = 0 }
 
-(** Emit one diagnostic. In a strict sink, [Warn] is recorded as [Err] —
-    the promotion the paper's cautious tools want ("refuse anything the
-    analysis is not sure about"). When an ambient tracer is installed the
-    diagnostic is also attached to the active span as an instant event, so
-    warnings appear on the timeline next to the phase that produced them. *)
 let emit sink sev ~source ?(loc = no_loc) fmt =
   Printf.ksprintf
     (fun msg ->
@@ -185,7 +107,6 @@ let emit sink sev ~source ?(loc = no_loc) fmt =
       | Note -> sink.n_notes <- sink.n_notes + 1
       | Warn -> sink.n_warnings <- sink.n_warnings + 1
       | Err -> sink.n_errors <- sink.n_errors + 1);
-      sink.items <- { d_sev = sev; d_source = source; d_loc = loc; d_msg = msg } :: sink.items;
       match Eel_obs.Trace.get_current () with
       | None -> ()
       | Some tr ->
@@ -199,18 +120,10 @@ let emit sink sev ~source ?(loc = no_loc) fmt =
               ])
     fmt
 
-(** [report sink_opt sev ~source ?loc fmt] — emit when a sink is present,
-    drop silently otherwise. The degradation paths in analysis code use this
-    so they work with or without a collector. *)
 let report sink_opt sev ~source ?loc fmt =
   match sink_opt with
   | Some sink -> emit sink sev ~source ?loc fmt
   | None -> Printf.ksprintf (fun _ -> ()) fmt
-
-(** Diagnostics in emission order. *)
-let diagnostics sink = List.rev sink.items
-
-let notes sink = sink.n_notes
 
 let warnings sink = sink.n_warnings
 
@@ -220,30 +133,13 @@ let has_errors sink = sink.n_errors > 0
 
 let count sink = sink.n_notes + sink.n_warnings + sink.n_errors
 
-let pp_sink fmt sink =
-  List.iter (fun d -> Format.fprintf fmt "%a@\n" pp_diagnostic d) (diagnostics sink)
-
-(** {1 Work budgets}
-
-    Decode and CFG-construction loops driven by hostile inputs must
-    terminate. A budget is a decrementing counter, shared by all stages of
-    one load; exhaustion raises {!Error} with {!Budget_error}, mirroring the
-    emulator's [Out_of_fuel]. *)
-
 type budget = { b_stage : string; b_limit : int; mutable b_left : int }
 
-(** A budget large enough that no legitimate executable hits it: ~64M work
-    units (one unit ≈ one instruction word examined). *)
 let default_budget_units = 64 * 1024 * 1024
 
 let budget ?(stage = "analysis") limit = { b_stage = stage; b_limit = limit; b_left = limit }
 
-let unlimited () = budget max_int
-
-(** [spend b n] consumes [n] units, failing with {!Budget_error} when the
-    budget runs dry. *)
 let spend b n =
   b.b_left <- b.b_left - n;
   if b.b_left < 0 then fail (Budget_error { stage = b.b_stage; limit = b.b_limit })
 
-let budget_left b = max 0 b.b_left

@@ -1,39 +1,3 @@
-(** Systematic fault injection against the verification stack itself
-    (ROADMAP: "contract-guided mutation").
-
-    PRs 3–4 built the oracle — lockstep differential execution plus edit
-    contracts — and the clean corpus verifies under it. But a green oracle
-    over clean inputs proves nothing about the oracle's {e blind spots}: a
-    clobbering snippet, a counter placed on live data, or a contract that
-    quietly under-declares would all sail through if [verify_edit] had a
-    hole shaped like them. This module manufactures exactly those known-bad
-    inputs, deterministically, and demands the oracle flag every one.
-
-    Three attack surfaces:
-
-    - {e instrumentation mutation} (the edit lies): the edited image is
-      re-patched at sites the original run provably executes — a stray
-      store into live low memory, a clobbered register, an off-by-one spill
-      just past the red zone, a wild trap — or the tool's own counter words
-      are skewed mid-run through the emulator's fault hooks
-      ({!Eel_emu.Emu.poke}).
-    - {e contract mutation} (the declaration lies): a declared region is
-      forgotten, a phantom region masks the program's own stores, a program
-      trap number is claimed as instrumentation traffic, a store-address
-      transform is claimed that the edit never applies (see
-      {!Eel_equiv.Contract}'s surgery helpers).
-    - {e environment faults}: fuel exhaustion at exact boundaries, image
-      bit-flips, tiny observation logs, tiny work budgets, trap storms,
-      wild poke plans — under the never-crash guarantee: typed
-      {!Diag} errors or classified verdicts, never exceptions.
-
-    Every fault is addressed by a {e site index} into a per-class site
-    list, so a reproducer is four values — (tool, program, class, sites) —
-    and rebuilding it is deterministic. {!triage} dedups flagged trials by
-    (tool, divergence class, anchor pc) and {!minimize} shrinks each to a
-    single site; {!repro_to_json}/{!spec_of_json} round-trip reproducers
-    through the JSON artifacts CI uploads. *)
-
 module Sef = Eel_sef.Sef
 module Emu = Eel_emu.Emu
 module Diag = Eel_robust.Diag
@@ -48,24 +12,19 @@ module Metrics = Eel_obs.Metrics
 
 let mach = Eel_sparc.Mach.mach
 
-(** {1 Fault classes} *)
-
 type fclass =
-  | Stray_store  (** edited insn becomes a store into live low memory *)
-  | Clobber_reg  (** edited insn becomes an [%o0]-clobbering add *)
-  | Redzone_spill  (** edited insn becomes a spill one slot past the zone *)
-  | Wild_trap  (** edited insn becomes a trap the program never issues *)
-  | Count_skew  (** an instrumentation word is corrupted mid-run *)
-  | Drop_syscall  (** an executed OS-trap insn becomes a nop: dropped call *)
+  | Stray_store
+  | Clobber_reg
+  | Redzone_spill
+  | Wild_trap
+  | Count_skew
+  | Drop_syscall
   | Undeclared_deny
-      (** edited side runs under a denying interposition policy with no
-          declared suppression — the "undeclared deny" lie on a live
-          world *)
-  | Forget_region  (** contract forgets a declared region *)
-  | Mask_store  (** contract claims a region over live program data *)
-  | Mask_trap  (** contract claims a program trap as instrumentation *)
-  | Mask_sys  (** contract claims a program {e syscall} as its own *)
-  | Phantom_norm  (** contract claims an addr transform the edit lacks *)
+  | Forget_region
+  | Mask_store
+  | Mask_trap
+  | Mask_sys
+  | Phantom_norm
 
 let all_classes =
   [
@@ -91,7 +50,6 @@ let class_name = function
 let class_of_name s =
   List.find_opt (fun c -> class_name c = s) all_classes
 
-(** Which of the tentpole's attack surfaces a class belongs to. *)
 let surface = function
   | Stray_store | Clobber_reg | Redzone_spill | Wild_trap | Count_skew
   | Drop_syscall ->
@@ -100,17 +58,7 @@ let surface = function
   | Phantom_norm ->
       "contract"
 
-(** {1 Site discovery}
-
-    Faults are only worth injecting where the program provably goes: a
-    clobber in dead code is undetectable {e by design}, not an oracle blind
-    spot. One profiled run of the {e original} image yields the executed
-    trap sites (mapped to their edited addresses — that is where the bad
-    word lands), the program's own store addresses (targets for the
-    masking lie), and its trap numbers. *)
-
 type inst = {
-  i_tool : string;
   i_prog : string;
   i_orig : Sef.t;
   i_ap : Toolbox.applied;
@@ -138,9 +86,6 @@ let max_sites = 6
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-(** [instrument ~fuel ?os tool (prog, exe)] applies [tool] and discovers
-    the injectable sites from one profiled run of the original; [os] runs
-    it against an OS world, adding the syscall-surface sites. *)
 let instrument ~fuel ?os tool (prog, exe) : (inst, string) result =
   match
     Diag.guard (fun () ->
@@ -214,7 +159,6 @@ let instrument ~fuel ?os tool (prog, exe) : (inst, string) result =
             r.Diffexec.r_events;
           Ok
             {
-              i_tool = tool;
               i_prog = prog;
               i_orig = exe;
               i_ap = ap;
@@ -227,13 +171,6 @@ let instrument ~fuel ?os tool (prog, exe) : (inst, string) result =
               i_sys_deny = !sys_deny;
               i_live_regions = live_regions;
             })
-
-(** {1 Arming a fault}
-
-    A {e site} is an index into the class's site list for this
-    instrumented program; {!arm} turns a set of sites into concrete verify
-    inputs: a (possibly re-patched copy of the) edited image, a (possibly
-    lying) contract, and a poke plan. *)
 
 (* hand-assembled injected words; [Insn.encode] keeps them honest *)
 let stray_addr = 64
@@ -282,9 +219,6 @@ let droppable_sys (t : inst) =
            [ Eel_os.Abi.sys_write; Eel_os.Abi.sys_close; Eel_os.Abi.sys_exit ])
        t.i_sys)
 
-(** The class's site menu: one human-readable description per site.
-    An empty list means the class does not apply to this instrumented
-    program (SFI declares no regions and exposes no counters). *)
 let sites (t : inst) cls : string list =
   let trap_sites () =
     take max_sites
@@ -339,8 +273,6 @@ type armed = {
   a_desc : string;
 }
 
-(** [arm t cls idxs] builds the faulted trial for site set [idxs] (indices
-    into [sites t cls]; out-of-range indices are ignored). *)
 let arm (t : inst) cls idxs : armed =
   let contract = t.i_ap.Toolbox.ap_contract in
   let descs = sites t cls in
@@ -436,20 +368,15 @@ let arm (t : inst) cls idxs : armed =
         { base with
           a_contract = Contract.claim_addr_norm contract (fun a -> a lxor 4) }
 
-(** {1 Running one trial} *)
-
 type attempt = {
-  at_flagged : bool;  (** the oracle flagged the fault (any divergence) *)
-  at_verdict : string;  (** verdict, [error:<kind>], or [crash:<what>] *)
-  at_dclass : string;  (** divergence class name; [""] when none *)
-  at_anchor : int;  (** divergence anchor pc; 0 when none *)
-  at_signature : string;  (** coverage key for the guided hunt *)
+  at_flagged : bool;
+  at_verdict : string;
+  at_dclass : string;
+  at_anchor : int;
+  at_signature : string;
   at_crash : bool;
 }
 
-(** [attempt ~fuel t a] runs the faulted trial under the contract oracle.
-    Crashes are data — the never-crash guarantee is asserted by counting
-    them, not by dying. *)
 let attempt ~fuel (t : inst) (a : armed) : attempt =
   match
     try
@@ -503,24 +430,17 @@ let attempt ~fuel (t : inst) (a : armed) : attempt =
         at_crash = false;
       }
 
-(** {1 Reproducers and triage} *)
-
 type repro = {
   rx_tool : string;
   rx_prog : string;
   rx_class : fclass;
-  rx_sites : int list;  (** minimized site set (a singleton after triage) *)
+  rx_sites : int list;
   rx_desc : string;
   rx_verdict : string;
   rx_dclass : string;
   rx_anchor : int;
 }
 
-(** [minimize ~fuel t cls idxs] greedily shrinks a flagged site set to a
-    single site: the first site that reproduces a divergence on its own
-    wins. Falls back to the full set if no single site reproduces (a
-    genuinely conjunctive fault — none of the current classes are, but the
-    triage stage must not lose a reproducer to that assumption). *)
 let minimize ~fuel (t : inst) cls idxs : int list * attempt option =
   match idxs with
   | [] | [ _ ] -> (idxs, None)
@@ -536,8 +456,6 @@ let minimize ~fuel (t : inst) cls idxs : int list * attempt option =
       | Some (i, at) -> ([ i ], Some at)
       | None -> (idxs, None))
 
-(** [triage rs] — dedup by (tool, divergence class, anchor pc), keeping
-    the first reproducer of each equivalence class. *)
 let triage (rs : repro list) : repro list =
   let seen = Hashtbl.create 32 in
   List.filter
@@ -557,7 +475,6 @@ let repro_to_json r =
     (Eel_obs.Trace.json_escape r.rx_desc)
     r.rx_verdict r.rx_dclass r.rx_anchor
 
-(** What {!replay} needs back out of a reproducer artifact. *)
 type spec = {
   sp_tool : string;
   sp_prog : string;
@@ -592,9 +509,6 @@ let lookup_prog prog : (Sef.t * Eel_os.Spec.t option) option =
         (fun (n, exe, spec) -> if n = prog then Some (exe, Some spec) else None)
         (Corpus.all_os ())
 
-(** [replay ~fuel s] deterministically rebuilds a reproducer and re-runs
-    the oracle; returns the fresh attempt (flagged = reproduced) plus the
-    trial description. *)
 let replay ~fuel (s : spec) : (attempt * string, string) result =
   match lookup_prog s.sp_prog with
   | None -> Error (Printf.sprintf "unknown corpus program %s" s.sp_prog)
@@ -605,17 +519,14 @@ let replay ~fuel (s : spec) : (attempt * string, string) result =
           let a = arm t s.sp_class s.sp_sites in
           Ok (attempt ~fuel t a, a.a_desc))
 
-(** {1 The campaign} *)
-
-(** One (tool × fault-class) cell of the canonical detection matrix. *)
 type cell = {
   cl_tool : string;
   cl_prog : string;
   cl_class : fclass;
-  cl_sites : int;  (** sites armed in the full-set trial *)
+  cl_sites : int;
   cl_flagged : bool;
   cl_verdict : string;
-  cl_repro : repro option;  (** minimized, present iff flagged *)
+  cl_repro : repro option;
 }
 
 (* the canonical matrix program: recursion, branches, stores, two trap
@@ -949,23 +860,19 @@ let env_sweep ~seed ~fuel () : int * int =
                        st.i_ap.Toolbox.ap_edited)));
       (!trials, !crashes)
 
-(** {1 The whole campaign} *)
-
 type outcome = {
   o_cells : cell list;
-  o_repros : repro list;  (** deduped, minimized, matrix + hunt *)
-  o_injected : int;  (** matrix cells armed *)
-  o_caught : int;  (** matrix cells flagged *)
-  o_crashes : int;  (** crashes anywhere in the campaign *)
+  o_repros : repro list;
+  o_injected : int;
+  o_caught : int;
+  o_crashes : int;
   o_hunt_attempts : int;
   o_hunt_distinct : int;
   o_clean_total : int;
-  o_clean_bad : int;  (** clean-corpus false violations (must be 0) *)
+  o_clean_bad : int;
   o_env_trials : int;
 }
 
-(** Did the campaign meet the acceptance bar? 100% detection, zero
-    crashes, zero false violations. *)
 let passed o =
   o.o_caught = o.o_injected && o.o_injected > 0 && o.o_crashes = 0
   && o.o_clean_bad = 0
@@ -985,9 +892,6 @@ let publish (o : outcome) =
         (if c.cl_flagged then 1 else 0))
     o.o_cells
 
-(** [campaign ?seed ?fuel ?budget ()] — matrix, guided hunt, clean sweep
-    and environment sweep, in that order; reproducers triaged across the
-    matrix and the hunt. *)
 let campaign ?(seed = 42) ?(fuel = Diffexec.default_fuel) ?(budget = 48) () :
     outcome =
   let insts = instrument_all ~fuel Toolbox.names in

@@ -1,23 +1,4 @@
-(** Deterministic, seeded SEF mutation — the fault-injection half of the
-    never-crash guarantee.
-
-    Each {!kind} models one pathology the paper's §3.1 analysis claims to
-    survive: corrupted containers (truncation, bad magic, bogus kind codes,
-    lying size fields), hostile section layouts (overlap, disorder, empty or
-    giant text), and the full symbol-table zoo (dangling addresses,
-    mid-instruction labels, duplicate/[Debug] pollution, fully stripped).
-    [Bit_flip_text] additionally turns instruction words into data, the
-    situation EEL's data-vs-code classification exists for.
-
-    Mutants are produced from a {e well-formed} executable plus an integer
-    seed; the same [(seed, kind, input)] triple always yields the same
-    bytes, so a fuzz corpus is reproducible from one integer. The PRNG is a
-    self-contained LCG — deliberately not [Stdlib.Random], whose sequence
-    may change between OCaml releases. *)
-
 module Sef = Eel_sef.Sef
-
-(** {1 Deterministic PRNG} *)
 
 type rng = { mutable state : int }
 
@@ -32,25 +13,23 @@ let rand r n = if n <= 0 then 0 else next r mod n
 
 let pick r l = List.nth l (rand r (List.length l))
 
-(** {1 Mutation classes} *)
-
 type kind =
-  | Bit_flip_text  (** flip 1–8 bits inside a text section's contents *)
-  | Truncate_header  (** cut the file inside the 12-byte header *)
-  | Truncate_tail  (** cut the file at a random later offset *)
-  | Bad_magic  (** corrupt the magic bytes *)
-  | Bogus_section_kind  (** first section's kind byte becomes garbage *)
-  | Giant_section_size  (** a section declares far more bytes than it stores *)
-  | Empty_text  (** the text section shrinks to zero bytes *)
-  | Huge_vaddr  (** a section is moved to the top of the address space *)
-  | Overlapping_sections  (** a section is moved on top of another *)
-  | Shuffled_sections  (** section records in decreasing-address order *)
-  | Bad_entry  (** entry point is misaligned and outside every section *)
-  | Dangling_symbol  (** a symbol's value maps to no section *)
-  | Misaligned_symbol  (** a text symbol lands mid-instruction *)
-  | Duplicate_symbols  (** the whole symbol table appears twice *)
-  | Debug_pollution  (** dozens of temporary/debugging labels added *)
-  | Stripped  (** no symbol table at all *)
+  | Bit_flip_text
+  | Truncate_header
+  | Truncate_tail
+  | Bad_magic
+  | Bogus_section_kind
+  | Giant_section_size
+  | Empty_text
+  | Huge_vaddr
+  | Overlapping_sections
+  | Shuffled_sections
+  | Bad_entry
+  | Dangling_symbol
+  | Misaligned_symbol
+  | Duplicate_symbols
+  | Debug_pollution
+  | Stripped
 
 let all =
   [
@@ -125,7 +104,6 @@ let patch_byte s off v =
     Bytes.set b off (Char.chr (v land 0xFF));
     Bytes.to_string b)
 
-(** [apply r kind t] — the mutated, serialized executable. *)
 let apply r kind (t : Sef.t) : string =
   match kind with
   | Bit_flip_text -> (
@@ -240,15 +218,6 @@ let apply r kind (t : Sef.t) : string =
       with_symbols t (extra @ t.Sef.symbols) |> Sef.to_string
   | Stripped -> Sef.to_string (Sef.strip t)
 
-(** [mutant ~seed t] picks a class and applies it, both deterministically
-    from [seed]. *)
-let mutant ~seed (t : Sef.t) : kind * string =
-  let r = rng seed in
-  let kind = List.nth all (rand r (List.length all)) in
-  (kind, apply r kind t)
-
-(** [corpus ~seed ~count t] — [count] reproducible mutants, cycling through
-    every class so small corpora still cover all of them. *)
 let corpus ~seed ~count (t : Sef.t) : (int * kind * string) list =
   let n = List.length all in
   List.init count (fun i ->

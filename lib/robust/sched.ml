@@ -1,38 +1,3 @@
-(** Coverage-guided mutation scheduling (ROADMAP: "coverage-guided
-    mutation").
-
-    {!Mutate.corpus} cycles through the mutation classes blindly: every
-    class receives [count / 16] attempts no matter what those attempts
-    discover. This module replaces the blind cycle with a
-    coverage-feedback loop: after each mutant runs, the driver reports the
-    {e signature} of what that mutant exercised — which structured
-    diagnostic it was rejected with, which degradation path it took,
-    which divergence class the differential oracle assigned — and the
-    scheduler biases subsequent picks toward the classes still producing
-    {e new} signatures.
-
-    The pick rule is a deterministic richness estimate (a Laplace-smoothed
-    discovery rate): class [k]'s score is
-
-    {[ (distinct_signatures(k) + 1) / (attempts(k) + 2) ]}
-
-    — the expected probability that one more attempt at [k] reveals
-    behaviour nobody has seen. Classes that keep yielding fresh signatures
-    (historically [bit-flip-text], whose mutants scatter across the whole
-    diagnostic and divergence space) retain a high score; classes that
-    saturate after one signature (e.g. [bad-magic], which is always
-    [rejected:sef]) decay as [1/attempts] and stop consuming budget.
-    A never-attempted class beats any score, and ties break toward the
-    least-attempted class, then the lowest class index — so the first 16
-    picks visit every class once: guided coverage is a superset of one
-    blind cycle before any bias kicks in.
-
-    Coverage is also published through the {!Eel_obs.Metrics} registry —
-    [<prefix>.<class>] gauges hold per-class distinct-signature counts and
-    [<prefix>.distinct] the global count — so the fuzz outcome table and
-    any external consumer read scheduling state from the same namespace as
-    every other metric. *)
-
 type 'a t = {
   classes : 'a array;
   label : 'a -> string;  (** metrics/report name of a class *)
@@ -43,12 +8,6 @@ type 'a t = {
   prefix : string;
 }
 
-(** [make ?prefix ~label classes] — a scheduler over an arbitrary arm
-    space. The fault-injection campaign schedules over
-    [(tool × fault-class)] arms with exactly the same discovery-rate rule
-    the SEF mutation loop uses; [label] renders an arm for metrics and
-    reports. [classes] must be non-empty and its elements distinct under
-    structural equality. *)
 let make ?(prefix = "eel.diff.cover") ~label (classes : 'a array) =
   if Array.length classes = 0 then invalid_arg "Sched.make: no classes";
   {
@@ -61,7 +20,6 @@ let make ?(prefix = "eel.diff.cover") ~label (classes : 'a array) =
     prefix;
   }
 
-(** The SEF-mutation scheduler: one arm per {!Mutate.kind}. *)
 let create ?prefix () =
   make ?prefix ~label:Mutate.name (Array.of_list Mutate.all)
 
@@ -75,7 +33,6 @@ let distinct_of t kind =
   let rec find i = if t.classes.(i) = kind then i else find (i + 1) in
   Hashtbl.length t.sigs.(find 0)
 
-(** Distinct signatures observed across every class. *)
 let distinct t = Hashtbl.length t.global
 
 let signatures t =
@@ -87,11 +44,6 @@ let score_num t i = Hashtbl.length t.sigs.(i) + 1
 
 let score_den t i = t.attempts.(i) + 2
 
-(** [next t] — the class the next mutant should come from. Deterministic:
-    the pick depends only on the sequence of {!observe} calls so far.
-    A never-attempted class always wins (lowest index first), so the first
-    16 picks visit every class once — the exploration floor without which
-    a single always-fresh class would monopolize the whole budget. *)
 let next t =
   let rec unvisited i =
     if i >= Array.length t.classes then None
@@ -122,8 +74,6 @@ let next t =
   t.picks <- t.picks + 1;
   t.classes.(best)
 
-(** [observe t kind ~signature] feeds back what the mutant of class [kind]
-    exercised. Returns [true] when the signature is new for that class. *)
 let observe t kind ~signature =
   let rec find i = if t.classes.(i) = kind then i else find (i + 1) in
   let i = find 0 in
@@ -139,22 +89,10 @@ let observe t kind ~signature =
   g (t.prefix ^ ".distinct") (Hashtbl.length t.global);
   fresh
 
-(** {1 Schedules}
-
-    A schedule is the sequence of classes a [count]-mutant budget is spent
-    on. [blind] reproduces {!Mutate.corpus}'s cycle; [guided] closes the
-    loop through a caller-supplied runner that maps each mutant to its
-    coverage signature. Both are deterministic in [(seed, count)]. *)
-
 let blind ~count =
   let all = Array.of_list Mutate.all in
   List.init count (fun i -> all.(i mod Array.length all))
 
-(** [guided t ~seed ~count base ~run] drives [count] mutants: each round
-    picks a class with {!next}, derives the mutant deterministically from
-    [seed] and the round index (the same PRNG stream {!Mutate.corpus}
-    uses), runs it, and feeds the resulting signature back with
-    {!observe}. Returns the per-round [(index, kind, signature)] trace. *)
 let guided t ~seed ~count base ~run =
   List.init count (fun i -> i)
   |> List.map (fun i ->

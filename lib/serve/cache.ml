@@ -1,24 +1,3 @@
-(** Content-addressed artifact cache for the rewriting service.
-
-    Two layers, both keyed by [(namespace, hex-digest)] where the digest is
-    a content hash of everything the artifact was computed from — so a key
-    either misses or returns exactly the bytes some earlier computation
-    produced, and "invalidation" is simply a changed key:
-
-    - an {b in-memory} layer (a [Hashtbl] behind one [Mutex]) that is safe
-      under {!Eel_util.Pool} domain fan-out and bounded by a byte budget
-      with FIFO eviction — content-addressed entries never go stale, so
-      recency bookkeeping buys nothing over insertion order here;
-    - a {b durable on-disk} layer: one flat file per entry at
-      [dir/<ns>-<key>], written atomically (temp file + [rename]), bounded
-      by a byte budget ([EEL_CACHE_MB]) enforced by oldest-[mtime]-first
-      eviction. Disk hits touch the file's mtime so the LRU order reflects
-      use, and are promoted into the memory layer.
-
-    Every operation bumps both [eel.cache.<ns>.*] metrics (domain-local,
-    merged at pool joins) and a shared mutex-protected {!stats} record the
-    tests can read mid-run from any domain. *)
-
 type stats = {
   mutable st_mem_hits : int;
   mutable st_disk_hits : int;
@@ -82,10 +61,6 @@ let disk_entries dir =
                | _ -> None
                | exception Unix.Unix_error _ -> None)
 
-(** [create ()] — a cache rooted at [?dir] (default [EEL_CACHE_DIR]; no
-    directory means a memory-only cache), with the disk layer bounded by
-    [?disk_budget_bytes] (default [EEL_CACHE_MB], else 256 MB) and the
-    memory layer by [?mem_budget_bytes] (default 64 MB). *)
 let create ?dir ?disk_budget_bytes ?mem_budget_bytes () =
   let dir =
     match dir with Some _ as d -> d | None -> Sys.getenv_opt "EEL_CACHE_DIR"
@@ -155,9 +130,6 @@ let read_file path =
       | s -> Some s
       | exception (Sys_error _ | End_of_file) -> None)
 
-(** Re-scan the disk layer and delete oldest-mtime entries until it fits
-    the budget again. Exact: recomputes [disk_bytes] from the directory, so
-    double-counted concurrent writes self-correct here. *)
 let enforce_disk_budget t =
   match t.dir with
   | None -> ()
@@ -262,16 +234,11 @@ let put t ~ns key v =
           in
           if over then enforce_disk_budget t))
 
-(** Drop the whole memory layer (tests use this to force the disk path). *)
 let mem_clear t =
   with_lock t (fun () ->
       Hashtbl.reset t.mem;
       Queue.clear t.order;
       t.mem_bytes <- 0)
-
-(** Number of entry files currently on disk. *)
-let disk_entry_count t =
-  match t.dir with None -> 0 | Some d -> List.length (disk_entries d)
 
 type snapshot = {
   sn_mem_hits : int;

@@ -1,41 +1,10 @@
-(** The serve wire protocol: JSONL jobs over a stdin pipe.
-
-    One JSON object per line on stdin, one response object per line on
-    stdout, responses in input order. A job names a tool and an executable
-    source:
-
-    {v
-    {"id": "j1", "tool": "qpt2", "corpus": "fib"}
-    {"id": "j2", "tool": "sfi", "gen": {"seed": 9, "routines": 10, "style": "sunpro"}}
-    {"id": "j3", "tool": "tracer", "file": "prog.sef", "fuel": 500000}
-    {"id": "j4", "tool": "amemory", "sef_hex": "23204546..."}
-    v}
-
-    - [tool] (required): one of {!Eel_tools.Toolbox.names}.
-    - exactly one source: [corpus] (a {!Eel_diffexec.Corpus} program name,
-      including the OS-mode [os-*] programs), [gen] (a deterministic
-      {!Eel_workload.Gen} workload; style ["os"] selects the I/O-bound
-      OS-mode generator), [file] (a SEF path resolved in the daemon's
-      cwd), or [sef_hex] (a hex-encoded SEF image inline — the
-      pipe-friendly way to ship an executable that exists nowhere on
-      disk). OS-mode sources carry their {!Eel_os.Spec} world implicitly:
-      the corpus entry (or generator seed) determines it, and its digest
-      participates in the result-cache key.
-    - [id] (optional): echoed in the response; defaults to ["job-<n>"].
-    - [fuel], [sfi_base], [sfi_size] (optional): forwarded to
-      {!Eel_tools.Toolbox.measure}.
-
-    Responses are deliberately deterministic (no wall-clock fields), so the
-    response stream is byte-identical at any [EEL_JOBS]; timing lives in
-    the stderr summary and the [--stats] JSON. *)
-
 module Json = Eel_obs.Json
 
 type src =
   | S_corpus of string
   | S_file of string
   | S_gen of { seed : int; routines : int; style : string }
-  | S_inline of string  (** raw SEF container bytes, already un-hexed *)
+  | S_inline of string
 
 type job = {
   j_id : string;
@@ -188,8 +157,6 @@ let job_of_line ~seq line : (job, string) result =
   | Error m -> Error (Printf.sprintf "bad JSON: %s" m)
   | Ok j -> job_of_json ~seq j
 
-(** Render a job back to one protocol line ([eel_batch --emit] uses this to
-    write corpora that feed straight into [eel_serve]). *)
 let job_to_line (j : job) =
   let buf = Buffer.create 128 in
   Buffer.add_string buf (Printf.sprintf {|{"id": %s, "tool": %s|} (json_str j.j_id) (json_str j.j_tool));
@@ -208,7 +175,6 @@ let job_to_line (j : job) =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(** Human label for the job's executable, used in reports and the ledger. *)
 let prog_name (j : job) =
   match j.j_src with
   | S_corpus name -> name

@@ -1,22 +1,3 @@
-(** The rewriting-service engine: resolve a {!Proto.job} to an executable,
-    route it through {!Eel_tools.Toolbox.measure} (so every served edit
-    passes the contract oracle and lands in the overhead {!Eel_obs.Ledger}),
-    and cache at two content-addressed granularities:
-
-    - {b per-routine analysis facts} (namespace ["rf"], via {!Analysis}):
-      installed ambiently for the whole batch, so even a cache-missing job
-      re-slices only routines whose bytes changed;
-    - {b whole-job results} (namespace ["job"]): keyed by a digest of the
-      protocol version, tool, fuel/SFI parameters and the full image bytes.
-      A hit replays the stored edited image and ledger entry without
-      re-running instrument + verify. Only ["equivalent"] verdicts are
-      stored — a divergence must re-verify every time, never be served from
-      cache.
-
-    Cache-hit responses are byte-identical to cache-miss responses by
-    construction (the stored artifact {e is} the miss-path output), and the
-    corpus-wide self-differential test pins exactly that. *)
-
 module Toolbox = Eel_tools.Toolbox
 module Diffexec = Eel_diffexec.Diffexec
 module Corpus = Eel_diffexec.Corpus
@@ -29,9 +10,9 @@ module Os_spec = Eel_os.Spec
 
 type config = {
   c_cache : Cache.t;
-  c_use_result : bool;  (** consult/populate the whole-job result cache *)
-  c_use_analysis : bool;  (** install the per-routine analysis cache *)
-  c_fuel : int;  (** default fuel for jobs that don't set one *)
+  c_use_result : bool;
+  c_use_analysis : bool;
+  c_fuel : int;
 }
 
 let default_config cache =
@@ -42,12 +23,10 @@ let default_config cache =
     c_fuel = Diffexec.default_fuel;
   }
 
-(** What one job produced. [o_edited] is the full serialized edited image
-    ([Sef.to_string]); the byte-identity guarantee is stated over it. *)
 type outcome = {
   o_verdict : string;
   o_masked : int;
-  o_result_hit : bool;  (** served from the result cache *)
+  o_result_hit : bool;
   o_edited : string;
   o_entry : Ledger.entry;
 }
@@ -63,11 +42,6 @@ let serve_metric what = Metrics.incr (Metrics.counter ("eel.serve." ^ what))
 
 (* ---- job resolution ---- *)
 
-(** [resolve j] — the job's executable plus, for OS-mode sources, the
-    {!Os_spec} world it runs against. OS-ness is derived from the source
-    itself (an [os-*] corpus entry, or gen style ["os"]): the job carries
-    no separate world field, so a job line alone fully determines the
-    run. *)
 let resolve (j : Proto.job) :
     (Sef.t * Os_spec.t option, string) Stdlib.result =
   match j.Proto.j_src with
@@ -118,11 +92,6 @@ let resolve (j : Proto.job) :
 let result_ns = "job"
 let result_magic = "EELJ2"
 
-(** The result key covers everything that can change the served bytes: the
-    artifact version, the tool, every measure parameter, the OS world's
-    digest (files, stdin and policy all shift the syscall stream), and the
-    entire input image ([Sef.to_string] is canonical, so equal images
-    digest equal). *)
 let job_key (cfg : config) (j : Proto.job) ?os (image : string) =
   let buf = Buffer.create (String.length image + 64) in
   Buffer.add_string buf result_magic;
@@ -271,9 +240,6 @@ let run_job (cfg : config) (j : Proto.job) : result =
       (match outcome with Error _ -> serve_metric "errors" | Ok _ -> ());
       { sr_id = j.Proto.j_id; sr_tool = j.Proto.j_tool; sr_prog = prog; sr_outcome = outcome })
 
-(** Run a batch across the pool with the analysis cache installed for the
-    duration. Results come back in input order (the pool's merge is
-    deterministic), so the response stream doesn't depend on [EEL_JOBS]. *)
 let run_batch ?jobs (cfg : config) (batch : Proto.job list) : result list =
   let run () = Eel_util.Pool.map_list ?jobs (run_job cfg) batch in
   if cfg.c_use_analysis then (
@@ -283,12 +249,6 @@ let run_batch ?jobs (cfg : config) (batch : Proto.job list) : result list =
 
 (* ---- the standard mixed corpus ---- *)
 
-(** The deterministic mixed job corpus ([eel_batch] and the serve bench
-    experiment share it): every corpus program (base and OS-mode) plus a
-    spread of generated workloads (both compiler styles and the OS
-    generator, varying sizes), crossed with all 6 tools by a stride
-    coprime to the source count so neighbouring jobs differ in both tool
-    and program. Fully determined by [(count, seed)]. *)
 let mixed_jobs ~count ~seed =
   let gen_variants =
     List.init 9 (fun g ->

@@ -12,7 +12,6 @@
 
 let g0 = 0
 let g1 = 1
-let g5 = 5
 let g6 = 6
 let g7 = 7
 let o0 = 8

@@ -19,12 +19,6 @@ let w32 buf v =
   w8 buf (v lsr 16);
   w8 buf (v lsr 24)
 
-let w32_be buf v =
-  w8 buf (v lsr 24);
-  w8 buf (v lsr 16);
-  w8 buf (v lsr 8);
-  w8 buf v
-
 (** [wstr buf s] writes a length-prefixed (u16) string. *)
 let wstr buf s =
   w16 buf (String.length s);

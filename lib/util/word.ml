@@ -55,12 +55,6 @@ let srl x s = mask x lsr (s land 31)
 (** Arithmetic shift right of the 32-bit value. *)
 let sra x s = mask (signed x asr (s land 31))
 
-(** Unsigned comparison of two 32-bit words. *)
-let ucompare x y = compare (mask x) (mask y)
-
-(** Signed comparison of two 32-bit words. *)
-let scompare x y = compare (signed x) (signed y)
-
 (** [fits_signed width x] holds when signed [x] is representable in a
     [width]-bit two's-complement field. *)
 let fits_signed width x =

@@ -447,7 +447,7 @@ L3:     mov %l0, %o0
   in
   ignore (edit_and_run src)
 
-let counter_snippet t addr =
+let counter_snippet addr =
   Snippet.of_asm mach
     ~params:[ ("counter", addr) ]
     {|
@@ -473,7 +473,7 @@ let test_insert_before () =
                 match b.C.term with C.T_branch _ -> true | _ -> false)
               (C.blocks g)
           in
-          Edit.add_before ed loop_block 0 (counter_snippet t !counter_addr);
+          Edit.add_before ed loop_block 0 (counter_snippet !counter_addr);
           incr t0);
         E.produce_edited_routine t r)
   in
@@ -514,7 +514,7 @@ Lnext:  subcc %l0, 1, %l0
                      if e.C.e_editable then (
                        let addr = E.reserve_data t 4 in
                        counters := addr :: !counters;
-                       Edit.add_along ed e (counter_snippet t addr)))
+                       Edit.add_along ed e (counter_snippet addr)))
                    b.C.succs)
              (C.blocks g));
         E.produce_edited_routine t r)
@@ -582,7 +582,7 @@ let test_jump_table_rewrite () =
                        b.C.preds
                    in
                    if is_target then
-                     Edit.add_before ed b 0 (counter_snippet t !counter)
+                     Edit.add_before ed b 0 (counter_snippet !counter)
                | _ -> ())
              (C.blocks g)));
         E.produce_edited_routine t r)

@@ -132,44 +132,20 @@ let test_identity_no_text () =
       Alcotest.failf "expected a structured error, got %s"
         (Dx.verdict_name rp.Dx.rp_verdict)
 
-let test_predecode_self_differential () =
-  (* the predecoded fast path (ISSUE 5) under the oracle's own event sink:
-     every corpus program must produce a byte-identical observable log,
-     the same stop condition, and the same event total with predecode on
-     and off — the emulator differentially tested against itself *)
-  List.iter
-    (fun (name, exe) ->
-      let exec ~predecode =
-        match Dx.execute ~predecode exe with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "%s: %s" name (Diag.error_message e)
-      in
-      let a = exec ~predecode:true and b = exec ~predecode:false in
-      Alcotest.(check string)
-        (name ^ ": same stop")
-        (Format.asprintf "%a" Dx.pp_stop b.Dx.r_stop)
-        (Format.asprintf "%a" Dx.pp_stop a.Dx.r_stop);
-      Alcotest.(check int) (name ^ ": same total") b.Dx.r_total a.Dx.r_total;
-      Alcotest.(check bool)
-        (name ^ ": identical event log")
-        true
-        (a.Dx.r_events = b.Dx.r_events))
-    (Corpus.all ())
-
-(* the tier-2 block engine (ISSUE 10) under the oracle's own event sink:
-   every program of BOTH corpora — CPU-bound and OS-bound — must produce
-   a byte-identical observable run under block compilation and under
-   pure interpretation: same stop condition, same event log (order and
-   payloads), same instruction count, output and final register file.
-   This is the acceptance gate for OSR exactness: obs sinks are armed,
-   so every compiled store emits its event from inside the closure. *)
-let check_tier_self_differential name ?os exe =
+(* An execution tier under the oracle's own event sink, against pure
+   interpretation: every program of BOTH corpora — CPU-bound and OS-bound —
+   must produce a byte-identical observable run: same stop condition, same
+   event log (order and payloads), same instruction count, output and final
+   register file. For the block tier this is the acceptance gate for OSR
+   exactness: obs sinks are armed, so every compiled store emits its event
+   from inside the closure. *)
+let check_tier_self_differential tier name ?os exe =
   let exec tier =
     match Dx.execute ?os ~tier exe with
     | Ok r -> r
     | Error e -> Alcotest.failf "%s: %s" name (Diag.error_message e)
   in
-  let a = exec Eel_emu.Tier2.Block and b = exec Eel_emu.Tier2.Interp in
+  let a = exec tier and b = exec Eel_emu.Tier2.Interp in
   Alcotest.(check string)
     (name ^ ": same stop")
     (Format.asprintf "%a" Dx.pp_stop b.Dx.r_stop)
@@ -184,15 +160,20 @@ let check_tier_self_differential name ?os exe =
   Alcotest.(check (array int)) (name ^ ": same registers") b.Dx.r_regs
     a.Dx.r_regs
 
-let test_tier2_self_differential () =
+let tier_self_differential_cpu tier () =
   List.iter
-    (fun (name, exe) -> check_tier_self_differential name exe)
+    (fun (name, exe) -> check_tier_self_differential tier name exe)
     (Corpus.all ())
 
-let test_tier2_self_differential_os () =
+let tier_self_differential_os tier () =
   List.iter
-    (fun (name, exe, spec) -> check_tier_self_differential name ~os:spec exe)
+    (fun (name, exe, spec) ->
+      check_tier_self_differential tier name ~os:spec exe)
     (Corpus.all_os ())
+
+let test_predecode_self_differential () =
+  tier_self_differential_cpu Eel_emu.Tier2.Predecode ();
+  tier_self_differential_os Eel_emu.Tier2.Predecode ()
 
 (* ------------------------------------------------------------------ *)
 (* Seeded semantics-changing mutants                                   *)
@@ -430,9 +411,9 @@ let () =
           Alcotest.test_case "predecode self-differential" `Quick
             test_predecode_self_differential;
           Alcotest.test_case "tier-2 self-differential (CPU corpus)" `Quick
-            test_tier2_self_differential;
+            (tier_self_differential_cpu Eel_emu.Tier2.Block);
           Alcotest.test_case "tier-2 self-differential (OS corpus)" `Quick
-            test_tier2_self_differential_os;
+            (tier_self_differential_os Eel_emu.Tier2.Block);
         ] );
       ( "mutants",
         [

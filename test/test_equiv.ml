@@ -211,6 +211,25 @@ let test_remaining_tools_equivalent () =
       ("optprof", List.assoc "fib" Corpus.sources);
     ]
 
+(* oldqpt on a large gcc-style program: some program stores write a raw
+   word that lies in the edited image's new text. Both sides store the same
+   bytes, so the oracle must not map only the edited side back and report a
+   value mismatch. *)
+let test_oldqpt_raw_equal_values () =
+  List.iter
+    (fun seed ->
+      let exe =
+        assemble
+          (Eel_workload.Gen.spim_like ~seed ~routines:200
+             ~style:Eel_workload.Gen.Gcc ())
+      in
+      let er = verify_ok (apply_ok "oldqpt" exe) exe in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d verdict" seed)
+        "equivalent"
+        (Dx.verdict_name er.Dx.er_report.Dx.rp_verdict))
+    [ 401; 2414 ]
+
 let test_equiv_metrics_published () =
   let exe = assemble (List.assoc "countdown" Corpus.sources) in
   let ap = apply_ok "qpt2" exe in
@@ -464,6 +483,8 @@ let () =
             test_qpt2_masks_counter_traffic;
           Alcotest.test_case "oldqpt, amemory, optprof" `Quick
             test_remaining_tools_equivalent;
+          Alcotest.test_case "oldqpt raw-equal stored values" `Quick
+            test_oldqpt_raw_equal_values;
           Alcotest.test_case "publishes eel.equiv metrics" `Quick
             test_equiv_metrics_published;
         ] );

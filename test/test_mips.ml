@@ -54,7 +54,6 @@ let addiu rt rs imm = enc "addiu" [ ("rt", rt); ("rs", rs); ("imm16", imm land 0
 let addu rd rs rt = enc "addu" [ ("rd", rd); ("rs", rs); ("rt", rt) ]
 let nop = enc "sll" [ ("rd", 0); ("rt", 0); ("shamt", 0) ]
 let syscall n = enc "syscall" [ ("code20", n) ]
-let mov_a0 rs = addu a0 rs zero
 
 (* our system-call convention for the MIPS description: the code field
    selects the call; the argument register is R[4] ($a0)... but the shared

@@ -516,6 +516,45 @@ let test_eel_run_os_file () =
   Sys.remove sef;
   Sys.remove payload
 
+(* The three execution tiers are interchangeable from the command line:
+   same stdout and exit status. The block tier cannot honour --metrics
+   (it profiles per instruction), so asking for both is a structured error. *)
+let test_eel_run_tier () =
+  let src, _ = List.assoc "os-upcase" Corpus.os_sources in
+  let exe = assemble src in
+  let sef = Filename.temp_file "eel_os" ".sef" in
+  Sef.write_file sef exe;
+  let out = Filename.temp_file "eel_os" ".out" in
+  let err = Filename.temp_file "eel_os" ".err" in
+  let slurp f = In_channel.with_open_bin f In_channel.input_all in
+  let run args =
+    let rc =
+      Sys.command
+        (Printf.sprintf "%s %s %s > %s 2> %s"
+           (Filename.quote (bin "eel_run.exe"))
+           args (Filename.quote sef) (Filename.quote out) (Filename.quote err))
+    in
+    (rc, slurp out, slurp err)
+  in
+  let on tier =
+    run (Printf.sprintf "--tier %s --os --os-stdin hello --exit-status" tier)
+  in
+  let rc, stdout, _ = on "interp" in
+  Alcotest.(check bool) "the program writes to stdout" true (stdout <> "");
+  List.iter
+    (fun tier ->
+      let rc', stdout', _ = on tier in
+      Alcotest.(check int) (tier ^ ": same exit status") rc rc';
+      Alcotest.(check string) (tier ^ ": same stdout") stdout stdout')
+    [ "predecode"; "block" ];
+  let rc, _, stderr = run "--tier block --metrics" in
+  Alcotest.(check int) "--tier block --metrics exits 1" 1 rc;
+  Alcotest.(check string) "structured Diag error"
+    "eel_run: executable: --tier block is incompatible with --metrics, which \
+     forces per-instruction interpretation; drop one of the two\n"
+    stderr;
+  List.iter Sys.remove [ sef; out; err ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -575,5 +614,6 @@ let () =
             test_eel_run_exit_status;
           Alcotest.test_case "--os-file host preload" `Quick
             test_eel_run_os_file;
+          Alcotest.test_case "--tier subprocess" `Quick test_eel_run_tier;
         ] );
     ]

@@ -3,7 +3,6 @@
    SFI (sandboxing), and the address tracer. Each tool's edited executable
    is run in the emulator and validated against ground truth. *)
 
-module Sef = Eel_sef.Sef
 module Emu = Eel_emu.Emu
 module E = Eel.Executable
 module Qpt2 = Eel_tools.Qpt2
